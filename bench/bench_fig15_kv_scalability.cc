@@ -32,7 +32,7 @@ mops(std::uint32_t num_mns, YcsbWorkload workload)
     Cluster cluster(ModelConfig::prototype(), 2, num_mns);
     std::vector<NodeId> mns;
     for (std::uint32_t m = 0; m < num_mns; m++) {
-        cluster.mn(m).registerOffload(kOffloadId,
+        cluster.mn(m).registerOffload(ClioKvOffload::descriptor(kOffloadId),
                                       std::make_shared<ClioKvOffload>());
         mns.push_back(cluster.mn(m).nodeId());
     }

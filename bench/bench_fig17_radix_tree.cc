@@ -43,7 +43,8 @@ searchLatency(std::uint64_t entries)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        kChaseId, std::make_shared<PointerChaseOffload>(), client.pid());
+        PointerChaseOffload::descriptor(kChaseId),
+        std::make_shared<PointerChaseOffload>(), client.pid());
     RemoteRadixTree tree(client, cluster.mn(0).nodeId(), kChaseId,
                          (entries * kKeyLen + 4096) * 48);
 

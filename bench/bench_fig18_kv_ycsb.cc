@@ -27,7 +27,7 @@ double
 clioKvUs(YcsbWorkload workload)
 {
     Cluster cluster(ModelConfig::prototype(), 2, 1);
-    cluster.mn(0).registerOffload(kOffloadId,
+    cluster.mn(0).registerOffload(ClioKvOffload::descriptor(kOffloadId),
                                   std::make_shared<ClioKvOffload>());
     ClioClient &client = cluster.createClient(0);
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kOffloadId);

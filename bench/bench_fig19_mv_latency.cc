@@ -35,7 +35,7 @@ mvLatency(std::uint32_t cns, bool zipf)
 {
     Cluster cluster(ModelConfig::prototype(), cns, 1);
     cluster.mn(0).registerOffload(
-        kOffloadId,
+        {.id = kOffloadId},
         std::make_shared<ClioMvOffload>(kValueBytes, kObjects, 512));
     const NodeId mn = cluster.mn(0).nodeId();
 

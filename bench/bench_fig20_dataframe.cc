@@ -38,9 +38,11 @@ queryRuntime(int select_pct)
     Cluster cluster(ModelConfig::prototype(), 1, 1, 8 * GiB);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        kSelectId, std::make_shared<SelectOffload>(), client.pid());
+        SelectOffload::descriptor(kSelectId),
+        std::make_shared<SelectOffload>(), client.pid());
     cluster.mn(0).registerOffloadShared(
-        kAggId, std::make_shared<AggregateOffload>(), client.pid());
+        AggregateOffload::descriptor(kAggId),
+        std::make_shared<AggregateOffload>(), client.pid());
 
     Rng rng(select_pct);
     const std::uint64_t rows = bench::iters(kRows);

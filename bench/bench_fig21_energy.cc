@@ -29,7 +29,7 @@ Tick
 clioRuntime(YcsbWorkload workload)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 1);
-    cluster.mn(0).registerOffload(kOffloadId,
+    cluster.mn(0).registerOffload(ClioKvOffload::descriptor(kOffloadId),
                                   std::make_shared<ClioKvOffload>());
     ClioClient &client = cluster.createClient(0);
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kOffloadId);

@@ -192,7 +192,8 @@ EngineRun
 runFig18(std::uint64_t ops)
 {
     Cluster cluster(ModelConfig::prototype(), 2, 1);
-    cluster.mn(0).registerOffload(1, std::make_shared<ClioKvOffload>());
+    cluster.mn(0).registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>());
     ClioClient &client = cluster.createClient(0);
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, 1);
     const std::string value(1024, 'y');

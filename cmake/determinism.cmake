@@ -8,10 +8,17 @@
 # binary-heap engine must replay the byte-identical history — this is
 # what makes the wheel rewrite provably behavior-preserving).
 #
-# Usage: cmake -DTEST_BINARY=... -DWORK_DIR=... -P determinism.cmake
+# Run 1 is also compared against GOLDEN, a dump checked into the repo:
+# the runs above only agree with each other, so a change that shifts
+# modeled behaviour the same way in every run would pass them. A change
+# that means to alter modeled behaviour regenerates the golden file
+# (copy determinism_run1.stats over it) in a commit that says so.
+#
+# Usage: cmake -DTEST_BINARY=... -DWORK_DIR=... -DGOLDEN=... -P determinism.cmake
 
-if(NOT TEST_BINARY OR NOT WORK_DIR)
-  message(FATAL_ERROR "determinism.cmake needs -DTEST_BINARY and -DWORK_DIR")
+if(NOT TEST_BINARY OR NOT WORK_DIR OR NOT GOLDEN)
+  message(FATAL_ERROR
+    "determinism.cmake needs -DTEST_BINARY, -DWORK_DIR and -DGOLDEN")
 endif()
 
 set(seed 20220228) # ASPLOS'22 session day; any fixed value works.
@@ -58,5 +65,19 @@ foreach(run 2 3)
       "--- run ${run} ---\n${runN}")
   endif()
 endforeach()
-message(STATUS
-  "determinism OK: wheel x2 and heap runs recorded identical stats")
+
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${WORK_DIR}/determinism_run1.stats" "${GOLDEN}"
+  RESULT_VARIABLE golden_rc)
+if(NOT golden_rc EQUAL 0)
+  file(READ "${WORK_DIR}/determinism_run1.stats" run1)
+  file(READ "${GOLDEN}" golden)
+  message(FATAL_ERROR
+    "determinism changed: run 1 with CLIO_SEED=${seed} differs from the "
+    "golden dump ${GOLDEN}. If the change in modeled behaviour is "
+    "intended, copy ${WORK_DIR}/determinism_run1.stats over it.\n"
+    "--- run 1 ---\n${run1}\n--- golden ---\n${golden}")
+endif()
+message(STATUS "determinism OK: wheel x2 and heap runs recorded "
+  "identical stats, equal to the golden dump")

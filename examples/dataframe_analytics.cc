@@ -29,9 +29,11 @@ main()
     Cluster cluster(ModelConfig::prototype(), 1, 1, 8 * GiB);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        kSelectId, std::make_shared<SelectOffload>(), client.pid());
+        SelectOffload::descriptor(kSelectId),
+        std::make_shared<SelectOffload>(), client.pid());
     cluster.mn(0).registerOffloadShared(
-        kAggId, std::make_shared<AggregateOffload>(), client.pid());
+        AggregateOffload::descriptor(kAggId),
+        std::make_shared<AggregateOffload>(), client.pid());
 
     // A 1M-row table: fieldA = gender (0/1), fieldB = final score.
     const std::uint64_t kRows = 1'000'000;

@@ -27,7 +27,7 @@ main()
     // Deploy the Clio-KV offload on every memory node.
     std::vector<NodeId> mns;
     for (std::uint32_t m = 0; m < cluster.mnCount(); m++) {
-        cluster.mn(m).registerOffload(kOffloadId,
+        cluster.mn(m).registerOffload(ClioKvOffload::descriptor(kOffloadId),
                                       std::make_shared<ClioKvOffload>());
         mns.push_back(cluster.mn(m).nodeId());
     }

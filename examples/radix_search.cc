@@ -29,7 +29,8 @@ main()
     // The pointer chaser shares the client's address space, so it can
     // walk the same nodes the client writes (§4.6).
     cluster.mn(0).registerOffloadShared(
-        kChaseId, std::make_shared<PointerChaseOffload>(), client.pid());
+        PointerChaseOffload::descriptor(kChaseId),
+        std::make_shared<PointerChaseOffload>(), client.pid());
 
     RemoteRadixTree tree(client, cluster.mn(0).nodeId(), kChaseId,
                          64 * MiB);

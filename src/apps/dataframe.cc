@@ -46,15 +46,14 @@ SelectOffload::encode(const Args &args)
 OffloadDescriptor
 SelectOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
-    desc.name = "df-select";
-    desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 32;
-    desc.lut = 8400.0;        // predicate comparators + compaction
-    desc.bram_bytes = 65536.0; // chunk staging buffers
-    desc.cycles_per_call = 8;
-    desc.cycles_per_element = 1;
-    return desc;
+    return {.id = id,
+            .name = "df-select",
+            .arg_bytes = sizeof(Args),
+            .reply_bytes_hint = 32,
+            .lut = 8400.0,         // predicate comparators + compaction
+            .bram_bytes = 65536.0, // chunk staging buffers
+            .cycles_per_call = 8,
+            .cycles_per_element = 1};
 }
 
 OffloadResult
@@ -113,15 +112,14 @@ AggregateOffload::encode(const Args &args)
 OffloadDescriptor
 AggregateOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
-    desc.name = "df-aggregate";
-    desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 16;
-    desc.lut = 3100.0;        // adder tree + divider
-    desc.bram_bytes = 65536.0; // chunk staging buffer
-    desc.cycles_per_call = 8;
-    desc.cycles_per_element = 1;
-    return desc;
+    return {.id = id,
+            .name = "df-aggregate",
+            .arg_bytes = sizeof(Args),
+            .reply_bytes_hint = 16,
+            .lut = 3100.0,         // adder tree + divider
+            .bram_bytes = 65536.0, // chunk staging buffer
+            .cycles_per_call = 8,
+            .cycles_per_element = 1};
 }
 
 OffloadResult

@@ -90,15 +90,14 @@ ClioKvOffload::ClioKvOffload(std::uint32_t bucket_count)
 OffloadDescriptor
 ClioKvOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
-    desc.name = "clio-kv";
-    desc.arg_bytes = 0; // variable: op + key (+ value)
-    desc.reply_bytes_hint = 1200;
-    desc.lut = 14800.0;         // hash, chain walker, slab allocator
-    desc.bram_bytes = 131072.0; // slot cache + burst buffers
-    desc.cycles_per_call = 16;
-    desc.cycles_per_element = 1;
-    return desc;
+    return {.id = id,
+            .name = "clio-kv",
+            .arg_bytes = 0, // variable: op + key (+ value)
+            .reply_bytes_hint = 1200,
+            .lut = 14800.0,         // hash, chain walker, slab allocator
+            .bram_bytes = 131072.0, // slot cache + burst buffers
+            .cycles_per_call = 16,
+            .cycles_per_element = 1};
 }
 
 std::uint64_t

@@ -22,15 +22,14 @@ PointerChaseOffload::encode(const Args &args)
 OffloadDescriptor
 PointerChaseOffload::descriptor(std::uint32_t id)
 {
-    OffloadDescriptor desc = defaultOffloadDescriptor(id);
-    desc.name = "pointer-chase";
-    desc.arg_bytes = sizeof(Args);
-    desc.reply_bytes_hint = 64;
-    desc.lut = 5200.0;        // walker FSM + 64-bit comparator
-    desc.bram_bytes = 2048.0; // one-node line buffer
-    desc.cycles_per_call = 4;
-    desc.cycles_per_element = 2;
-    return desc;
+    return {.id = id,
+            .name = "pointer-chase",
+            .arg_bytes = sizeof(Args),
+            .reply_bytes_hint = 64,
+            .lut = 5200.0,        // walker FSM + 64-bit comparator
+            .bram_bytes = 2048.0, // one-node line buffer
+            .cycles_per_call = 4,
+            .cycles_per_element = 2};
 }
 
 OffloadResult

@@ -1,12 +1,32 @@
 #include "cboard/cboard.hh"
 
 #include <algorithm>
-#include <cstring>
 
-#include "proto/wire.hh"
 #include "sim/logging.hh"
 
 namespace clio {
+
+namespace {
+
+/** Split [va, va + len) at page boundaries and call
+ * f(piece_va, offset_in_page, piece_len) per piece, stopping early when
+ * f returns false. @return whether every piece was visited. */
+template <typename F>
+bool
+forEachPage(VirtAddr va, std::uint64_t len, std::uint64_t page_size, F &&f)
+{
+    while (len > 0) {
+        const std::uint64_t in_page = va % page_size;
+        const std::uint64_t n = std::min(len, page_size - in_page);
+        if (!f(va, in_page, n))
+            return false;
+        va += n;
+        len -= n;
+    }
+    return true;
+}
+
+} // namespace
 
 CBoard::CBoard(EventQueue &eq, Network &network, const ModelConfig &cfg,
                std::uint64_t phys_bytes, RackId rack)
@@ -20,7 +40,15 @@ CBoard::CBoard(EventQueue &eq, Network &network, const ModelConfig &cfg,
       valloc_(cfg.page_table.page_size, 1ull << 46),
       dedup_(cfg.dedup.entries),
       async_buffer_(cfg.slow_path.async_buffer_pages),
-      offload_rt_(cfg.offload, cfg.fast_path.cycle)
+      offload_rt_(cfg.offload, cfg.fast_path.cycle),
+      heartbeat_(eq, network, [this](HeartbeatMsg &hb) {
+          if (!alive_)
+              return false;
+          hb.epoch = epoch_fence_;
+          hb.incarnation = incarnation_;
+          stats_.heartbeats_sent++;
+          return true;
+      })
 {
     phys_bytes_ = phys_bytes ? phys_bytes : cfg.mn_phys_bytes;
     node_ = net_.addNode([this](Packet pkt) { onPacket(std::move(pkt)); },
@@ -95,7 +123,7 @@ CBoard::restart()
     // answers kBadAddress meanwhile, which is safe.
     epoch_fence_ = 0;
     incarnation_++;
-    hb_seq_ = 0;
+    heartbeat_.resetSequence();
     alive_ = true;
     bootstrapAsyncBuffer();
 
@@ -175,41 +203,10 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kAtomic:
       case MsgType::kFence: {
         auto &inflight = inflight_[pkt.req_id];
-        if (inflight.total_parts == 0) {
-            inflight.total_parts = pkt.total_parts;
-            inflight.req =
-                std::static_pointer_cast<const RequestMsg>(pkt.msg);
-            inflight.seen_bits.assign((pkt.total_parts + 63) / 64, 0);
-            // Dedup check happens once per request (T4): a retried
-            // write/atomic whose original executed is suppressed.
-            if (pkt.type == MsgType::kWrite ||
-                pkt.type == MsgType::kAtomic) {
-                if (auto cached = dedup_.find(inflight.req->orig_req_id)) {
-                    inflight.suppressed = true;
-                    dedup_.noteSuppressed();
-                    (void)*cached;
-                }
-            }
-        }
-        // Per-part dedup: a switch-duplicated packet must not count
-        // twice toward total_parts (it would complete the request with
-        // a sibling part missing). Re-execution of whole duplicated
-        // REQUESTS after completion is handled by the dedup buffer.
-        {
-            const std::size_t word = pkt.part >> 6;
-            const std::uint64_t bit = 1ull << (pkt.part & 63);
-            if (word >= inflight.seen_bits.size() ||
-                (inflight.seen_bits[word] & bit)) {
-                stats_.dup_parts_dropped++;
-                inflight.last_seen = eq_.now();
-                break;
-            }
-            inflight.seen_bits[word] |= bit;
-        }
-        inflight.parts_seen++;
-        inflight.last_seen = eq_.now();
+        if (!acceptPart(pkt, inflight))
+            break;
         fastPathPacket(pkt, inflight);
-        if (inflight.parts_seen == inflight.total_parts) {
+        if (inflight.parts.complete()) {
             const auto &req = *inflight.req;
             auto resp = resp_pool_.acquire();
             resp->req_id = req.req_id;
@@ -256,6 +253,46 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kHeartbeat:
         clio_panic("MN received a non-request packet");
     }
+}
+
+bool
+CBoard::acceptPart(const Packet &pkt, Inflight &inflight)
+{
+    inflight.last_seen = eq_.now();
+    const auto &req = inflight.req
+                          ? *inflight.req
+                          : static_cast<const RequestMsg &>(*pkt.msg);
+    // The fast path copies a write slice straight out of the request's
+    // data, so the slice must lie inside it.
+    const bool slice_ok =
+        req.type != MsgType::kWrite ||
+        (pkt.payload_offset <= req.data.size() &&
+         pkt.payload_len <= req.data.size() - pkt.payload_offset);
+    // A switch-duplicated part must not be processed twice; re-execution
+    // of whole duplicated REQUESTS after completion is the dedup
+    // buffer's job.
+    switch (slice_ok ? inflight.parts.add(pkt.part, pkt.total_parts)
+                     : PartTracker::Verdict::kMalformed) {
+      case PartTracker::Verdict::kNew:
+        break;
+      case PartTracker::Verdict::kDuplicate:
+        stats_.dup_parts_dropped++;
+        return false;
+      case PartTracker::Verdict::kMalformed:
+        stats_.malformed_parts_dropped++;
+        return false;
+    }
+    if (!inflight.req) {
+        inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
+        // Dedup check happens once per request (T4): a retried
+        // write/atomic whose original executed is suppressed.
+        if ((req.type == MsgType::kWrite || req.type == MsgType::kAtomic) &&
+            dedup_.find(req.orig_req_id)) {
+            inflight.suppressed = true;
+            dedup_.noteSuppressed();
+        }
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -320,19 +357,16 @@ CBoard::readFunctional(ProcId pid, VirtAddr va, void *dst,
 {
     const std::uint64_t page_size = cfg_.page_table.page_size;
     auto *out = static_cast<std::uint8_t *>(dst);
-    while (len > 0) {
-        const std::uint64_t vpn = va / page_size;
-        const std::uint64_t in_page = va % page_size;
-        const std::uint64_t n = std::min(len, page_size - in_page);
-        const Pte *pte = page_table_.lookup(pid, vpn);
-        if (!pte || !pte->present)
-            return false;
-        memory_.read(pte->frame + in_page, out, n);
-        out += n;
-        va += n;
-        len -= n;
-    }
-    return true;
+    return forEachPage(
+        va, len, page_size,
+        [&](VirtAddr page_va, std::uint64_t in_page, std::uint64_t n) {
+            const Pte *pte = page_table_.lookup(pid, page_va / page_size);
+            if (!pte || !pte->present)
+                return false;
+            memory_.read(pte->frame + in_page, out, n);
+            out += n;
+            return true;
+        });
 }
 
 Tick
@@ -354,23 +388,15 @@ void
 CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight)
 {
     const auto &req = *inflight.req;
-    const FastPathConfig &fp = cfg_.fast_path;
 
-    // Ingress MAC/PHY, fence gate, and pipeline occupancy (II = 1:
-    // one datapath word per cycle). Read responses stream their
-    // payload back through the same datapath, so a read occupies the
-    // pipeline for its response bytes as well.
-    Tick t = eq_.now() + fp.mac_latency;
-    t = std::max(t, gate_open_);
+    // Ingress MAC/PHY, fence gate, then the pipeline. Read responses
+    // stream their payload back through the same datapath, so a read
+    // occupies the pipeline for its response bytes as well.
     const std::uint64_t egress_bytes =
         req.type == MsgType::kRead && pkt.part == 0 ? req.size : 0;
-    const std::uint64_t words =
-        std::max<std::uint64_t>(1, (pkt.wire_bytes + egress_bytes +
-                                    datapathBytes() - 1) /
-                                       datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
+    Tick t = admitPipeline(
+        std::max(eq_.now() + cfg_.fast_path.mac_latency, gate_open_),
+        pkt.wire_bytes + egress_bytes);
 
     if (inflight.status != Status::kOk || inflight.suppressed) {
         // Earlier part failed, or duplicate: skip execution, keep
@@ -381,48 +407,24 @@ CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight)
 
     Status status = Status::kOk;
     switch (req.type) {
-      case MsgType::kRead: {
+      case MsgType::kRead:
         stats_.reads++;
         stats_.bytes_read += req.size;
-        // Translate + access each covered page.
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        const std::uint64_t page_size = cfg_.page_table.page_size;
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, false, t, status);
-            if (pte)
-                t = memoryAccess(t, n, false);
-            va += n;
-            len -= n;
-        }
+        t = walkPages(req.pid, req.addr, req.size, false, t, status);
         break;
-      }
-      case MsgType::kWrite: {
-        // This packet carries payload [payload_offset, +payload_len).
+      case MsgType::kWrite:
+        // This packet carries payload [payload_offset, +payload_len),
+        // checked against req.data by acceptPart.
         if (pkt.part == 0) {
             stats_.writes++;
             stats_.bytes_written += req.size;
         }
-        VirtAddr va = req.addr + pkt.payload_offset;
-        std::uint64_t len = pkt.payload_len;
-        const std::uint8_t *src = req.data.data() + pkt.payload_offset;
-        const std::uint64_t page_size = cfg_.page_table.page_size;
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, true, t, status);
-            if (pte) {
-                memory_.write(pte->frame + in_page, src, n);
-                t = memoryAccess(t, n, true);
-            }
-            va += n;
-            src += n;
-            len -= n;
-        }
+        // walkPages only reads `buf` on a write.
+        t = walkPages(req.pid, req.addr + pkt.payload_offset,
+                      pkt.payload_len, true, t, status,
+                      const_cast<std::uint8_t *>(req.data.data()) +
+                          pkt.payload_offset);
         break;
-      }
       case MsgType::kAtomic: {
         stats_.atomics++;
         auto pte = translateOne(req.pid, req.addr, true, t, status);
@@ -483,68 +485,77 @@ CBoard::serviceFastPath(const RequestMsg &req, Tick ready,
     // Whole-request variant used by the on-board traffic generator
     // (Fig. 9) and unit tests: same logic as the per-packet path, with
     // the full payload as one unit.
-    const FastPathConfig &fp = cfg_.fast_path;
     // Payload crosses the datapath once in either direction (write
     // ingress or read-response egress).
-    const std::uint64_t wire = req.size + kPacketHeaderBytes;
-    Tick t = std::max(ready, gate_open_);
-    const std::uint64_t words = std::max<std::uint64_t>(
-        1, (wire + datapathBytes() - 1) / datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
+    Tick t = admitPipeline(std::max(ready, gate_open_),
+                           req.size + kPacketHeaderBytes);
 
     Status status = Status::kOk;
-    const std::uint64_t page_size = cfg_.page_table.page_size;
     switch (req.type) {
-      case MsgType::kRead: {
+      case MsgType::kRead:
         stats_.reads++;
         stats_.bytes_read += req.size;
         resp.data.resize(req.size);
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        std::uint8_t *dst = resp.data.data();
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, false, t, status);
-            if (pte) {
-                memory_.read(pte->frame + in_page, dst, n);
-                t = memoryAccess(t, n, false);
-            }
-            va += n;
-            dst += n;
-            len -= n;
-        }
+        t = walkPages(req.pid, req.addr, req.size, false, t, status,
+                      resp.data.data());
         break;
-      }
-      case MsgType::kWrite: {
+      case MsgType::kWrite:
         stats_.writes++;
         stats_.bytes_written += req.size;
-        VirtAddr va = req.addr;
-        std::uint64_t len = req.size;
-        const std::uint8_t *src = req.data.data();
-        while (len > 0 && status == Status::kOk) {
-            const std::uint64_t in_page = va % page_size;
-            const std::uint64_t n = std::min(len, page_size - in_page);
-            auto pte = translateOne(req.pid, va, true, t, status);
-            if (pte) {
-                memory_.write(pte->frame + in_page, src, n);
-                t = memoryAccess(t, n, true);
-            }
-            va += n;
-            src += n;
-            len -= n;
-        }
+        t = walkPages(req.pid, req.addr, req.size, true, t, status,
+                      const_cast<std::uint8_t *>(req.data.data()));
         break;
-      }
       default:
         clio_panic("serviceFastPath supports read/write only");
     }
     resp.req_id = req.req_id;
     resp.status = status;
-    t += fp.respond_cycles * fp.cycle;
+    t += cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle;
     last_op_done_ = std::max(last_op_done_, t);
+    return t;
+}
+
+Tick
+CBoard::admitPipeline(Tick ready, std::uint64_t bytes)
+{
+    const FastPathConfig &fp = cfg_.fast_path;
+    const std::uint64_t datapath_bytes = fp.datapath_bits / 8;
+    const std::uint64_t words = std::max<std::uint64_t>(
+        1, (bytes + datapath_bytes - 1) / datapath_bytes);
+    pipeline_free_ = std::max(ready, pipeline_free_) + words * fp.cycle;
+    return pipeline_free_ + fp.parse_cycles * fp.cycle;
+}
+
+Tick
+CBoard::walkPages(ProcId pid, VirtAddr va, std::uint64_t len, bool is_write,
+                  Tick t, Status &status, std::uint8_t *buf,
+                  OffloadCost *split, std::uint64_t *moved)
+{
+    forEachPage(va, len, cfg_.page_table.page_size,
+                [&](VirtAddr page_va, std::uint64_t in_page,
+                    std::uint64_t n) {
+                    const Tick start = t;
+                    const auto pte =
+                        translateOne(pid, page_va, is_write, t, status);
+                    if (!pte)
+                        return false;
+                    if (buf) {
+                        if (is_write)
+                            memory_.write(pte->frame + in_page, buf, n);
+                        else
+                            memory_.read(pte->frame + in_page, buf, n);
+                        buf += n;
+                    }
+                    const Tick translated = t;
+                    t = memoryAccess(t, n, is_write);
+                    if (split) {
+                        split->translate += translated - start;
+                        split->dram += t - translated;
+                    }
+                    if (moved)
+                        *moved += n;
+                    return true;
+                });
     return t;
 }
 
@@ -719,14 +730,6 @@ CBoard::registerOffload(OffloadDescriptor desc,
     return offload_rt_.deploy(*this, std::move(desc), std::move(offload));
 }
 
-ProcId
-CBoard::registerOffload(std::uint32_t offload_id,
-                        std::shared_ptr<Offload> offload)
-{
-    return registerOffload(defaultOffloadDescriptor(offload_id),
-                           std::move(offload));
-}
-
 void
 CBoard::registerOffloadShared(OffloadDescriptor desc,
                               std::shared_ptr<Offload> offload, ProcId pid)
@@ -736,47 +739,16 @@ CBoard::registerOffloadShared(OffloadDescriptor desc,
 }
 
 void
-CBoard::registerOffloadShared(std::uint32_t offload_id,
-                              std::shared_ptr<Offload> offload,
-                              ProcId pid)
-{
-    registerOffloadShared(defaultOffloadDescriptor(offload_id),
-                          std::move(offload), pid);
-}
-
-void
 CBoard::extendPathPacket(const Packet &pkt)
 {
     auto &inflight = inflight_[pkt.req_id];
-    if (inflight.total_parts == 0) {
-        inflight.total_parts = pkt.total_parts;
-        inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
-        inflight.seen_bits.assign((pkt.total_parts + 63) / 64, 0);
-    }
-    {
-        // Same per-part dedup as the fast path.
-        const std::size_t word = pkt.part >> 6;
-        const std::uint64_t bit = 1ull << (pkt.part & 63);
-        if (word >= inflight.seen_bits.size() ||
-            (inflight.seen_bits[word] & bit)) {
-            stats_.dup_parts_dropped++;
-            inflight.last_seen = eq_.now();
-            return;
-        }
-        inflight.seen_bits[word] |= bit;
-    }
-    inflight.parts_seen++;
-    inflight.last_seen = eq_.now();
+    if (!acceptPart(pkt, inflight))
+        return;
     const FastPathConfig &fp = cfg_.fast_path;
-    Tick t = eq_.now() + fp.mac_latency;
-    const std::uint64_t words = std::max<std::uint64_t>(
-        1, (pkt.wire_bytes + datapathBytes() - 1) / datapathBytes());
-    t = std::max(t, pipeline_free_);
-    pipeline_free_ = t + words * fp.cycle;
-    t += words * fp.cycle + fp.parse_cycles * fp.cycle;
-    inflight.done = std::max(inflight.done, t);
-
-    if (inflight.parts_seen < inflight.total_parts)
+    inflight.done =
+        std::max(inflight.done,
+                 admitPipeline(eq_.now() + fp.mac_latency, pkt.wire_bytes));
+    if (!inflight.parts.complete())
         return;
 
     const auto &req = *inflight.req;
@@ -830,44 +802,21 @@ CBoard::invokeOffloadLocal(std::uint32_t offload_id,
                            OffloadResult &result, OffloadCost *split)
 {
     stats_.offload_calls++;
-    return offload_rt_.invokeLocal(*this, offload_id, arg, result, split);
+    return offload_rt_.invokeLocal(*this, offload_id, arg, eq_.now(), result,
+                                   split);
 }
 
 Tick
 CBoard::vmAccess(ProcId pid, VirtAddr addr, void *buf, std::uint64_t len,
                  bool is_write, Tick start, OffloadCost *split)
 {
-    Tick t = std::max(start, eq_.now());
     Status status = Status::kOk;
-    const std::uint64_t page_size = cfg_.page_table.page_size;
-    VirtAddr va = addr;
-    std::uint64_t remaining = len;
-    auto *cursor = static_cast<std::uint8_t *>(buf);
-    while (remaining > 0) {
-        const std::uint64_t in_page = va % page_size;
-        const std::uint64_t n = std::min(remaining, page_size - in_page);
-        Tick before = t;
-        auto pte = translateOne(pid, va, is_write, t, status);
-        if (!pte)
-            return kTickMax;
-        if (split)
-            split->translate += t - before;
-        if (is_write) {
-            memory_.write(pte->frame + in_page, cursor, n);
-            stats_.bytes_written += n;
-        } else {
-            memory_.read(pte->frame + in_page, cursor, n);
-            stats_.bytes_read += n;
-        }
-        before = t;
-        t = memoryAccess(t, n, is_write);
-        if (split)
-            split->dram += t - before;
-        va += n;
-        cursor += n;
-        remaining -= n;
-    }
-    return t;
+    std::uint64_t moved = 0;
+    const Tick t = walkPages(pid, addr, len, is_write,
+                             std::max(start, eq_.now()), status,
+                             static_cast<std::uint8_t *>(buf), split, &moved);
+    (is_write ? stats_.bytes_written : stats_.bytes_read) += moved;
+    return status == Status::kOk ? t : kTickMax;
 }
 
 // ---------------------------------------------------------------------
@@ -936,48 +885,6 @@ CBoard::releaseLocksOwnedBy(NodeId cn)
     return released;
 }
 
-void
-CBoard::startHeartbeats(NodeId controller, Tick period, Tick phase)
-{
-    clio_assert(period > 0, "heartbeat period must be positive");
-    hb_controller_ = controller;
-    hb_period_ = period;
-    if (hb_running_)
-        return;
-    hb_running_ = true;
-    eq_.scheduleAfter(phase, [this] { heartbeatTick(); });
-}
-
-void
-CBoard::heartbeatTick()
-{
-    // The tick always reschedules; a crashed board just stays silent,
-    // so beacons resume by themselves after restart().
-    if (alive_) {
-        auto hb = std::make_shared<HeartbeatMsg>();
-        hb->node = node_;
-        hb->seq = ++hb_seq_;
-        hb->epoch = epoch_fence_;
-        hb->incarnation = incarnation_;
-        Packet pkt;
-        pkt.src = node_;
-        pkt.dst = hb_controller_;
-        pkt.type = MsgType::kHeartbeat;
-        pkt.priority = true; // control lane: never queue behind bulk data
-        pkt.wire_bytes = kPacketHeaderBytes + 24;
-        pkt.msg = std::move(hb);
-        net_.send(std::move(pkt));
-        stats_.heartbeats_sent++;
-    }
-    eq_.scheduleAfter(hb_period_, [this] { heartbeatTick(); });
-}
-
-std::uint64_t
-CBoard::datapathBytes() const
-{
-    return cfg_.fast_path.datapath_bits / 8;
-}
-
 // ---------------------------------------------------------------------
 // OffloadVm
 // ---------------------------------------------------------------------
@@ -1013,7 +920,8 @@ OffloadVm::free(VirtAddr addr)
 }
 
 bool
-OffloadVm::read(VirtAddr addr, void *dst, std::uint64_t len)
+OffloadVm::access(VirtAddr addr, void *buf, std::uint64_t len,
+                  bool is_write)
 {
     // The invocation's logical clock runs `cost_` ahead of its start
     // tick; resources (DRAM occupancy) are shared in absolute time.
@@ -1022,25 +930,24 @@ OffloadVm::read(VirtAddr addr, void *dst, std::uint64_t len)
     // done - start_at_ is preserved exactly.
     const Tick start = start_at_ + cost_.total();
     OffloadCost delta;
-    const Tick done =
-        board_.vmAccess(pid_, addr, dst, len, false, start, &delta);
-    if (done == kTickMax)
+    if (board_.vmAccess(pid_, addr, buf, len, is_write, start, &delta) ==
+        kTickMax)
         return false; // fault: no time charged (existing semantics)
     cost_ += delta;
     return true;
 }
 
 bool
+OffloadVm::read(VirtAddr addr, void *dst, std::uint64_t len)
+{
+    return access(addr, dst, len, false);
+}
+
+bool
 OffloadVm::write(VirtAddr addr, const void *src, std::uint64_t len)
 {
-    const Tick start = start_at_ + cost_.total();
-    OffloadCost delta;
-    const Tick done = board_.vmAccess(
-        pid_, addr, const_cast<void *>(src), len, true, start, &delta);
-    if (done == kTickMax)
-        return false;
-    cost_ += delta;
-    return true;
+    // A write only reads from the buffer.
+    return access(addr, const_cast<void *>(src), len, true);
 }
 
 std::optional<std::uint64_t>

@@ -44,6 +44,7 @@
 #include "pagetable/hash_page_table.hh"
 #include "pagetable/tlb.hh"
 #include "proto/messages.hh"
+#include "proto/wire.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "valloc/va_allocator.hh"
@@ -74,6 +75,9 @@ struct CBoardStats
     std::uint64_t crashes = 0;
     /** Duplicated request packets dropped by the per-part bitmap. */
     std::uint64_t dup_parts_dropped = 0;
+    /** Request packets dropped as malformed: a part index or part count
+     * that contradicts the request, or a write slice outside its data. */
+    std::uint64_t malformed_parts_dropped = 0;
     /** Liveness beacons emitted (health plane). */
     std::uint64_t heartbeats_sent = 0;
     /** Requests rejected for carrying a stale membership epoch. */
@@ -108,26 +112,19 @@ class CBoard
     /** @} */
 
     /**
-     * Deploy an offload with a full descriptor; it gets a fresh PID
-     * and empty RAS. @return the offload's PID.
+     * Deploy an offload under its descriptor; it gets a fresh PID and
+     * empty RAS. Offloads with a fixed schema provide their own
+     * (e.g. ClioKvOffload::descriptor(id)); ad-hoc ones pass
+     * `{.id = N}`. @return the offload's PID.
      */
     ProcId registerOffload(OffloadDescriptor desc,
                            std::shared_ptr<Offload> offload);
 
-    /** Legacy deploy under a bare id (default descriptor). */
-    ProcId registerOffload(std::uint32_t offload_id,
-                           std::shared_ptr<Offload> offload);
-
     /**
-     * Register an offload that *shares* an existing address space
+     * Deploy an offload that *shares* an existing address space
      * (Clio-DF style: CN computation and MN offloads on one RAS, §6).
      */
     void registerOffloadShared(OffloadDescriptor desc,
-                               std::shared_ptr<Offload> offload,
-                               ProcId pid);
-
-    /** Legacy shared deploy under a bare id (default descriptor). */
-    void registerOffloadShared(std::uint32_t offload_id,
                                std::shared_ptr<Offload> offload,
                                ProcId pid);
 
@@ -224,7 +221,11 @@ class CBoard
      * ticks, first one at `phase` (staggered per board). Beacons are
      * real packets through the fabric, so rack kills and fault windows
      * genuinely delay or drop them. */
-    void startHeartbeats(NodeId controller, Tick period, Tick phase);
+    void
+    startHeartbeats(NodeId controller, Tick period, Tick phase)
+    {
+        heartbeat_.start(node_, controller, period, phase);
+    }
     /** Monotonic restart count, carried in heartbeats so the
      * controller can spot a crash+restart inside one lease window. */
     std::uint64_t incarnation() const { return incarnation_; }
@@ -252,17 +253,13 @@ class CBoard
     /** Per-inflight-request reassembly/completion state. */
     struct Inflight
     {
-        std::uint32_t parts_seen = 0;
-        std::uint32_t total_parts = 0;
+        PartTracker parts;
         /** Max completion tick over per-packet processing. */
         Tick done = 0;
         /** Set when any part failed translation/permission. */
         Status status = Status::kOk;
         /** Duplicate write suppressed by the dedup buffer. */
         bool suppressed = false;
-        /** Per-part seen bitmap: switch-duplicated packets (chaos
-         * hook) must not double-count toward total_parts. */
-        std::vector<std::uint64_t> seen_bits;
         /** Old value returned by an atomic. */
         std::uint64_t atomic_result = 0;
         /** Arrival tick of the most recent packet: an abandoned
@@ -270,6 +267,7 @@ class CBoard
          * id) stops receiving packets, which is what the GC keys on.
          * Long multi-packet transfers keep refreshing it. */
         Tick last_seen = 0;
+        /** The request, set by its first accepted part. */
         std::shared_ptr<const RequestMsg> req;
     };
 
@@ -281,11 +279,19 @@ class CBoard
     /** Ingress from the network. */
     void onPacket(Packet pkt);
 
-    /** Self-rescheduling heartbeat emission. */
-    void heartbeatTick();
+    /** Admit one request packet into its inflight entry: drop (and
+     * count) a duplicated or malformed part, else record it. The first
+     * accepted part binds the request and runs the dedup check.
+     * @return whether the part is new and should be processed. */
+    bool acceptPart(const Packet &pkt, Inflight &inflight);
 
     /** Handle one fast-path packet (read/write slice/atomic/fence). */
     void fastPathPacket(const Packet &pkt, Inflight &inflight);
+
+    /** Occupy the fast-path pipeline (II = 1: one datapath word per
+     * cycle) with `bytes` entering at `ready`, plus the parse stage.
+     * @return the tick the parsed request leaves the MAT. */
+    Tick admitPipeline(Tick ready, std::uint64_t bytes);
 
     /** Translate one VA; handles TLB, page fault, permission.
      * @return PTE copy, or nullopt with `status` set; advances `t` by
@@ -298,8 +304,20 @@ class CBoard
      * latency + bandwidth occupancy); returns the completion tick. */
     Tick memoryAccess(Tick t, std::uint64_t bytes, bool is_write);
 
-    /** Fast-path datapath width in bytes. */
-    std::uint64_t datapathBytes() const;
+    /**
+     * Access [va, va + len) page by page starting at tick `t`: per page
+     * translateOne, then the byte copy to or from `buf` (none when
+     * null), then memoryAccess. Stops at the first failed translation
+     * with `status` set. The one place translation and DRAM time of a
+     * data access are charged.
+     * @param split when non-null, accumulates translate / dram time.
+     * @param moved when non-null, accumulates the bytes accessed.
+     * @return tick the last access (or failed translation) completes.
+     */
+    Tick walkPages(ProcId pid, VirtAddr va, std::uint64_t len,
+                   bool is_write, Tick t, Status &status,
+                   std::uint8_t *buf = nullptr, OffloadCost *split = nullptr,
+                   std::uint64_t *moved = nullptr);
 
     /** Handle a slow-path request (alloc/free) end to end. */
     void slowPathPacket(const Packet &pkt);
@@ -376,10 +394,7 @@ class CBoard
     std::map<std::pair<ProcId, VirtAddr>, NodeId> lock_owners_;
     std::uint64_t epoch_fence_ = 0;
     std::uint64_t incarnation_ = 0;
-    NodeId hb_controller_ = 0;
-    Tick hb_period_ = 0;
-    std::uint64_t hb_seq_ = 0;
-    bool hb_running_ = false;
+    HeartbeatSource heartbeat_;
     /** @} */
 
     CBoardStats stats_;

@@ -4,14 +4,21 @@
 #include <cmath>
 
 #include "clib/client.hh"
-#include "proto/wire.hh"
 #include "sim/logging.hh"
 
 namespace clio {
 
 CNode::CNode(EventQueue &eq, Network &network, const ModelConfig &cfg,
              RackId rack)
-    : eq_(eq), net_(network), cfg_(cfg)
+    : eq_(eq), net_(network), cfg_(cfg),
+      heartbeat_(eq, network, [this](HeartbeatMsg &hb) {
+          if (!alive_)
+              return false;
+          hb.epoch = epoch_;
+          hb.incarnation = incarnation_;
+          stats_.heartbeats_sent++;
+          return true;
+      })
 {
     node_ = net_.addNode([this](Packet pkt) { onPacket(std::move(pkt)); },
                          0, rack);
@@ -62,16 +69,13 @@ CNode::freeSlot(std::uint32_t slot)
     Outstanding &out = out_slots_[slot];
     out.req.reset();
     out.cb = nullptr;
-    out.resp.reset();
     out.expected_resp_bytes = 0;
     out.sent_at = 0;
     out.retries = 0;
     out.generation = 0;
     out.last_fail_timeout = false;
     out.last_fail_fenced = false;
-    out.resp_parts_seen = 0;
-    out.resp_parts_total = 0;
-    out.resp_seen_bits.clear();
+    out.resp_parts.reset();
     out.resp_corrupted = false;
     out_free_.push_back(slot);
 }
@@ -174,9 +178,7 @@ CNode::transmit(Outstanding &out)
     const RequestMsg &req = *out.req;
     out.sent_at = eq_.now();
     out.generation++;
-    out.resp_parts_seen = 0;
-    out.resp_parts_total = 0;
-    out.resp_seen_bits.clear();
+    out.resp_parts.reset();
     out.resp_corrupted = false;
 
     const std::uint64_t payload = requestPayloadBytes(req);
@@ -382,24 +384,18 @@ CNode::onPacket(Packet pkt)
 
     clio_assert(pkt.type == MsgType::kResponse,
                 "unexpected packet type at CN");
-    if (out.resp_parts_total == 0) {
-        out.resp_parts_total = pkt.total_parts;
-        out.resp = std::static_pointer_cast<const ResponseMsg>(pkt.msg);
-        out.resp_seen_bits.assign((pkt.total_parts + 63) / 64, 0);
+    switch (out.resp_parts.add(pkt.part, pkt.total_parts)) {
+      case PartTracker::Verdict::kNew:
+        break;
+      case PartTracker::Verdict::kDuplicate:
+        return; // switch-duplicated (chaos hook): already counted
+      case PartTracker::Verdict::kMalformed:
+        stats_.malformed_parts_dropped++;
+        return;
     }
-    // Per-part dedup: a switch-duplicated response packet (chaos hook)
-    // must not double-count toward the reassembly total, or a lost
-    // sibling part would be silently papered over.
-    const std::size_t word = pkt.part >> 6;
-    const std::uint64_t bit = 1ull << (pkt.part & 63);
-    if (word >= out.resp_seen_bits.size() ||
-        (out.resp_seen_bits[word] & bit))
-        return; // duplicate (or malformed part index): already counted
-    out.resp_seen_bits[word] |= bit;
     if (pkt.corrupted)
         out.resp_corrupted = true;
-    out.resp_parts_seen++;
-    if (out.resp_parts_seen < out.resp_parts_total)
+    if (!out.resp_parts.complete())
         return;
 
     // Full response assembled (T1 reassembly).
@@ -434,7 +430,10 @@ CNode::onPacket(Packet pkt)
         return;
     }
 
-    if (out.resp->status == Status::kEpochFenced) {
+    // Every part carries the whole message.
+    auto resp =
+        std::static_pointer_cast<const ResponseMsg>(std::move(pkt.msg));
+    if (resp->status == Status::kEpochFenced) {
         // The MN rejoined at a newer epoch than this attempt carried.
         // Refresh our membership view from the controller (modeled as
         // an instantaneous control-plane RPC) and retry — the fresh
@@ -460,7 +459,6 @@ CNode::onPacket(Packet pkt)
     iwnd_used_ -= out.expected_resp_bytes;
     stats_.responses++;
 
-    auto resp = out.resp;
     auto cb = std::move(out.cb);
     out_index_.erase(it);
     freeSlot(slot);
@@ -516,7 +514,7 @@ CNode::restart()
         return;
     alive_ = true;
     incarnation_++;
-    hb_seq_ = 0;
+    heartbeat_.resetSequence();
     // Congestion state restarts from scratch, like a rebooted kernel.
     for (auto &st : mn_state_) {
         PerMn fresh;
@@ -526,42 +524,6 @@ CNode::restart()
     // No membership view until the controller pushes one (or an MN
     // fence forces a refresh).
     epoch_ = 0;
-}
-
-void
-CNode::startHeartbeats(NodeId controller, Tick period, Tick phase)
-{
-    clio_assert(period > 0, "heartbeat period must be positive");
-    hb_controller_ = controller;
-    hb_period_ = period;
-    if (hb_running_)
-        return;
-    hb_running_ = true;
-    eq_.scheduleAfter(phase, [this] { heartbeatTick(); });
-}
-
-void
-CNode::heartbeatTick()
-{
-    // The tick always reschedules; a dead node just stays silent, so
-    // beacons resume by themselves after restart().
-    if (alive_) {
-        auto hb = std::make_shared<HeartbeatMsg>();
-        hb->node = node_;
-        hb->seq = ++hb_seq_;
-        hb->epoch = epoch_;
-        hb->incarnation = incarnation_;
-        Packet pkt;
-        pkt.src = node_;
-        pkt.dst = hb_controller_;
-        pkt.type = MsgType::kHeartbeat;
-        pkt.priority = true; // control lane: never queue behind bulk data
-        pkt.wire_bytes = kPacketHeaderBytes + 24;
-        pkt.msg = std::move(hb);
-        net_.send(std::move(pkt));
-        stats_.heartbeats_sent++;
-    }
-    eq_.scheduleAfter(hb_period_, [this] { heartbeatTick(); });
 }
 
 } // namespace clio

@@ -34,6 +34,7 @@
 
 #include "net/network.hh"
 #include "proto/messages.hh"
+#include "proto/wire.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -55,6 +56,8 @@ struct CNodeStats
     std::uint64_t epoch_refreshes = 0; ///< kEpochFenced-triggered refreshes
     std::uint64_t heartbeats_sent = 0;
     std::uint64_t crashes = 0;
+    /** Response packets whose part index or part count is malformed. */
+    std::uint64_t malformed_parts_dropped = 0;
 };
 
 /** One compute node: NIC + CLib transport shared by its processes. */
@@ -113,7 +116,11 @@ class CNode
     /** Start emitting liveness beacons to `controller` every `period`
      * ticks, first one at `phase` (staggered per node so beacons never
      * synchronize). Beacons are real packets through the fabric. */
-    void startHeartbeats(NodeId controller, Tick period, Tick phase);
+    void
+    startHeartbeats(NodeId controller, Tick period, Tick phase)
+    {
+        heartbeat_.start(node_, controller, period, phase);
+    }
 
     /** Monotonic restart count, carried in heartbeats so the
      * controller can spot a crash+restart that fit inside one lease. */
@@ -147,13 +154,8 @@ class CNode
         /** Whether the most recent failed attempt was epoch-fenced by
          * the MN; surfaced as kEpochFenced on exhaustion. */
         bool last_fail_fenced = false;
-        /** Response reassembly (T1). */
-        std::uint32_t resp_parts_seen = 0;
-        std::uint32_t resp_parts_total = 0;
-        /** Per-part seen bitmap: a duplicated response packet (chaos
-         * hook) must not double-count toward resp_parts_total. */
-        std::vector<std::uint64_t> resp_seen_bits;
-        std::shared_ptr<const ResponseMsg> resp;
+        /** Response reassembly of the current attempt (T1). */
+        PartTracker resp_parts;
         bool resp_corrupted = false;
     };
 
@@ -176,7 +178,6 @@ class CNode
     /** Re-pump every per-MN wait queue (shared-iwnd wakeup). */
     void pumpWaiting();
     void trySend(NodeId mn);
-    void heartbeatTick();
     /** Retry timeout for one request (type-dependent, §4.5). */
     Tick timeoutFor(const RequestMsg &req) const;
     void transmit(Outstanding &out);
@@ -222,10 +223,7 @@ class CNode
     std::uint64_t epoch_ = 0;
     std::function<std::uint64_t()> epoch_refresh_;
     std::uint64_t incarnation_ = 0;
-    NodeId hb_controller_ = 0;
-    Tick hb_period_ = 0;
-    std::uint64_t hb_seq_ = 0;
-    bool hb_running_ = false;
+    HeartbeatSource heartbeat_;
     /** @} */
 
     MessagePool<RequestMsg> req_pool_;

@@ -14,12 +14,4 @@ DevBoard::openProcess()
     return DevProcess(*this, next_pid_++);
 }
 
-void
-DevBoard::registerOffloadShared(std::uint32_t id,
-                                std::shared_ptr<Offload> offload,
-                                const DevProcess &proc)
-{
-    board_->registerOffloadShared(id, std::move(offload), proc.pid());
-}
-
 } // namespace clio

@@ -42,19 +42,7 @@ class DevBoard
     /** Open a new "process" (fresh global PID / address space). */
     DevProcess openProcess();
 
-    /** Deploy an offload (own address space). */
-    void
-    registerOffload(std::uint32_t id, std::shared_ptr<Offload> offload)
-    {
-        board_->registerOffload(id, std::move(offload));
-    }
-
-    /** Deploy an offload sharing a process' address space. */
-    void registerOffloadShared(std::uint32_t id,
-                               std::shared_ptr<Offload> offload,
-                               const DevProcess &proc);
-
-    /** Invoke an offload synchronously. */
+    /** Invoke an offload synchronously (deploy it through board()). */
     Status
     offloadCall(std::uint32_t id, const std::vector<std::uint8_t> &arg,
                 std::vector<std::uint8_t> *result = nullptr,

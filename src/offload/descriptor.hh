@@ -10,6 +10,12 @@
  * cycles-per-element cost model documenting how invocation compute
  * scales (the invoke() implementations charge it via
  * OffloadVm::chargeCycles).
+ *
+ * Every deploy (CBoard::registerOffload / registerOffloadShared) takes
+ * a descriptor. Offloads with a schema ship their own static
+ * descriptor(id); an ad-hoc offload passes `{.id = N}` and gets the
+ * defaults below. Every field has a default member initializer, so a
+ * designated initializer may name any subset.
  */
 
 #ifndef CLIO_OFFLOAD_DESCRIPTOR_HH
@@ -26,7 +32,7 @@ struct OffloadDescriptor
     /** Dispatch id carried in RequestMsg::offload_id. */
     std::uint32_t id = 0;
     /** Human-readable module name (stats, Fig. 22 rows, bench JSON). */
-    std::string name;
+    std::string name = {};
     /** Fixed argument schema size in bytes; 0 = variable-length args
      * (the offload validates internally). Enforced at dispatch: a
      * mismatched rcall fails with OffloadErrc::kBadArgument without
@@ -46,17 +52,6 @@ struct OffloadDescriptor
     std::uint64_t cycles_per_element = 1;
     /** @} */
 };
-
-/** Descriptor with defaults for legacy registerOffload(id, offload)
- * call sites that predate the registry. */
-inline OffloadDescriptor
-defaultOffloadDescriptor(std::uint32_t id)
-{
-    OffloadDescriptor desc;
-    desc.id = id;
-    desc.name = "offload-" + std::to_string(id);
-    return desc;
-}
 
 } // namespace clio
 

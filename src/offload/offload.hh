@@ -120,6 +120,9 @@ class OffloadVm
 
   private:
     friend class CBoard;
+    /** Shared body of read() and write(). */
+    bool access(VirtAddr addr, void *buf, std::uint64_t len, bool is_write);
+
     CBoard &board_;
     ProcId pid_;
     /** Logical start tick; the invocation clock is start_at_ +

@@ -7,6 +7,23 @@
 
 namespace clio {
 
+namespace {
+
+/** Look up offload `id`; when none is registered, fill `result` with
+ * the kUnregistered error and return null. */
+OffloadEntry *
+findOrFail(OffloadRegistry &registry, std::uint32_t id, OffloadResult &result)
+{
+    OffloadEntry *entry = registry.find(id);
+    if (!entry)
+        result = offloadError(OffloadErrc::kUnregistered,
+                              "no offload registered under id " +
+                                  std::to_string(id));
+    return entry;
+}
+
+} // namespace
+
 OffloadRuntime::OffloadRuntime(const OffloadConfig &cfg, Tick cycle)
     : cfg_(cfg), cycle_(cycle), scheduler_(cfg.engines)
 {
@@ -36,7 +53,8 @@ OffloadRuntime::deployShared(CBoard &board, OffloadDescriptor desc,
 Tick
 OffloadRuntime::dispatchOne(CBoard &board, OffloadEntry &entry,
                             const std::vector<std::uint8_t> &arg, Tick start,
-                            OffloadResult &result, bool as_chain_stage)
+                            OffloadResult &result, bool as_chain_stage,
+                            OffloadCost *split)
 {
     if (as_chain_stage)
         entry.stats.chain_stages++;
@@ -56,6 +74,8 @@ OffloadRuntime::dispatchOne(CBoard &board, OffloadEntry &entry,
     if (result.status != Status::kOk)
         entry.stats.errors++;
     entry.stats.cost += vm.costSplit();
+    if (split)
+        *split = vm.costSplit();
     return vm.cost();
 }
 
@@ -64,13 +84,9 @@ OffloadRuntime::runSingle(CBoard &board, std::uint32_t id,
                           const std::vector<std::uint8_t> &arg, Tick ready,
                           OffloadResult &result)
 {
-    OffloadEntry *entry = registry_.find(id);
-    if (!entry) {
-        result = offloadError(OffloadErrc::kUnregistered,
-                              "no offload registered under id " +
-                                  std::to_string(id));
+    OffloadEntry *entry = findOrFail(registry_, id, result);
+    if (!entry)
         return ready;
-    }
     const EngineScheduler::Grant grant = scheduler_.admit(ready);
     Tick done = grant.start + cfg_.dispatch_cycles * cycle_;
     done += dispatchOne(board, *entry, arg, done, result, false);
@@ -102,13 +118,9 @@ OffloadRuntime::runChain(CBoard &board, const RequestMsg &req, Tick ready,
         done += cfg_.dispatch_cycles * cycle_;
 
         OffloadResult stage_result;
-        OffloadEntry *entry = registry_.find(stage.offload_id);
-        if (!entry) {
-            stage_result = offloadError(
-                OffloadErrc::kUnregistered,
-                "no offload registered under id " +
-                    std::to_string(stage.offload_id));
-        } else {
+        OffloadEntry *entry =
+            findOrFail(registry_, stage.offload_id, stage_result);
+        if (entry) {
             // Patch the stage's argument template from earlier replies.
             std::vector<std::uint8_t> arg = stage.arg;
             bool bind_ok = true;
@@ -184,36 +196,12 @@ OffloadRuntime::runChain(CBoard &board, const RequestMsg &req, Tick ready,
 
 Tick
 OffloadRuntime::invokeLocal(CBoard &board, std::uint32_t id,
-                            const std::vector<std::uint8_t> &arg,
+                            const std::vector<std::uint8_t> &arg, Tick start,
                             OffloadResult &result, OffloadCost *split)
 {
-    OffloadEntry *entry = registry_.find(id);
-    if (!entry) {
-        result = offloadError(OffloadErrc::kUnregistered,
-                              "no offload registered under id " +
-                                  std::to_string(id));
-        return 0;
-    }
-    if (entry->desc.arg_bytes != 0 &&
-        arg.size() != entry->desc.arg_bytes) {
-        result = offloadError(
-            OffloadErrc::kBadArgument,
-            entry->desc.name + ": argument is " +
-                std::to_string(arg.size()) + " bytes, schema wants " +
-                std::to_string(entry->desc.arg_bytes));
-        entry->stats.calls++;
-        entry->stats.errors++;
-        return 0;
-    }
-    entry->stats.calls++;
-    OffloadVm vm(board, entry->pid);
-    result = entry->offload->invoke(vm, arg);
-    if (result.status != Status::kOk)
-        entry->stats.errors++;
-    entry->stats.cost += vm.costSplit();
-    if (split)
-        *split = vm.costSplit();
-    return vm.cost();
+    OffloadEntry *entry = findOrFail(registry_, id, result);
+    return entry ? dispatchOne(board, *entry, arg, start, result, false, split)
+                 : 0;
 }
 
 void

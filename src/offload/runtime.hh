@@ -71,10 +71,11 @@ class OffloadRuntime
 
     /** Invoke without engine admission or dispatch overhead — the
      * developer-simulator path (§5) and offload unit tests.
+     * @param start the board's current tick.
      * @param split when non-null, receives the invocation's cost split.
      * @return modeled device time of the invocation. */
     Tick invokeLocal(CBoard &board, std::uint32_t id,
-                     const std::vector<std::uint8_t> &arg,
+                     const std::vector<std::uint8_t> &arg, Tick start,
                      OffloadResult &result, OffloadCost *split = nullptr);
 
     /** Board restart: re-run every offload's init() against the empty
@@ -92,10 +93,12 @@ class OffloadRuntime
      * device time (schema rejections cost nothing). `start` is the
      * tick the invocation begins — the VM's accesses queue behind the
      * board's shared watermarks from there, so back-to-back chain
-     * stages don't re-bill each other's DRAM occupancy. */
+     * stages don't re-bill each other's DRAM occupancy. When non-null,
+     * `split` receives an invoked call's cost split. */
     Tick dispatchOne(CBoard &board, OffloadEntry &entry,
                      const std::vector<std::uint8_t> &arg, Tick start,
-                     OffloadResult &result, bool as_chain_stage);
+                     OffloadResult &result, bool as_chain_stage,
+                     OffloadCost *split = nullptr);
 
     OffloadConfig cfg_;
     /** Fast-path cycle period (dispatch_cycles -> ticks). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "proto/messages.hh"
 #include "sim/logging.hh"
@@ -58,6 +59,70 @@ sendSplit(EventQueue &eq, Network &net, Tick when, NodeId src, NodeId dst,
             });
         }
     }
+}
+
+PartTracker::Verdict
+PartTracker::add(std::uint32_t part, std::uint32_t total_parts)
+{
+    if (part >= total_parts || (total_ != 0 && total_parts != total_))
+        return Verdict::kMalformed;
+    if (total_ == 0) {
+        total_ = total_parts;
+        seen_bits_.assign((total_parts + 63) / 64, 0);
+    }
+    std::uint64_t &word = seen_bits_[part >> 6];
+    const std::uint64_t bit = 1ull << (part & 63);
+    if (word & bit)
+        return Verdict::kDuplicate;
+    word |= bit;
+    seen_++;
+    return Verdict::kNew;
+}
+
+void
+PartTracker::reset()
+{
+    seen_ = 0;
+    total_ = 0;
+    seen_bits_.clear();
+}
+
+HeartbeatSource::HeartbeatSource(EventQueue &eq, Network &net, Stamp stamp)
+    : eq_(eq), net_(net), stamp_(std::move(stamp))
+{
+}
+
+void
+HeartbeatSource::start(NodeId node, NodeId controller, Tick period,
+                       Tick phase)
+{
+    clio_assert(period > 0, "heartbeat period must be positive");
+    node_ = node;
+    controller_ = controller;
+    period_ = period;
+    if (running_)
+        return;
+    running_ = true;
+    eq_.scheduleAfter(phase, [this] { tick(); });
+}
+
+void
+HeartbeatSource::tick()
+{
+    auto hb = std::make_shared<HeartbeatMsg>();
+    if (stamp_(*hb)) {
+        hb->node = node_;
+        hb->seq = ++seq_;
+        Packet pkt;
+        pkt.src = node_;
+        pkt.dst = controller_;
+        pkt.type = MsgType::kHeartbeat;
+        pkt.priority = true;
+        pkt.wire_bytes = kPacketHeaderBytes + 24;
+        pkt.msg = std::move(hb);
+        net_.send(std::move(pkt));
+    }
+    eq_.scheduleAfter(period_, [this] { tick(); });
 }
 
 } // namespace clio

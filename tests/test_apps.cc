@@ -30,7 +30,7 @@ TEST(ClioKv, PutGetDelete)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
-    cluster.mn(0).registerOffload(kKvOffloadId,
+    cluster.mn(0).registerOffload(ClioKvOffload::descriptor(kKvOffloadId),
                                   std::make_shared<ClioKvOffload>());
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kKvOffloadId);
 
@@ -58,7 +58,8 @@ TEST(ClioKv, ManyKeysWithChaining)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     auto offload = std::make_shared<ClioKvOffload>(16);
-    cluster.mn(0).registerOffload(kKvOffloadId, offload);
+    cluster.mn(0).registerOffload(
+        ClioKvOffload::descriptor(kKvOffloadId), offload);
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kKvOffloadId);
 
     std::map<std::string, std::string> mirror;
@@ -78,7 +79,7 @@ TEST(ClioKv, LargeValues)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
-    cluster.mn(0).registerOffload(kKvOffloadId,
+    cluster.mn(0).registerOffload(ClioKvOffload::descriptor(kKvOffloadId),
                                   std::make_shared<ClioKvOffload>());
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kKvOffloadId);
 
@@ -96,7 +97,7 @@ TEST(ClioKv, PartitionsAcrossMns)
     ClioClient &client = cluster.createClient(0);
     std::vector<NodeId> mns;
     for (std::uint32_t m = 0; m < 3; m++) {
-        cluster.mn(m).registerOffload(kKvOffloadId,
+        cluster.mn(m).registerOffload(ClioKvOffload::descriptor(kKvOffloadId),
                                       std::make_shared<ClioKvOffload>());
         mns.push_back(cluster.mn(m).nodeId());
     }
@@ -119,7 +120,7 @@ TEST(ClioKv, YcsbMixedWorkload)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
-    cluster.mn(0).registerOffload(kKvOffloadId,
+    cluster.mn(0).registerOffload(ClioKvOffload::descriptor(kKvOffloadId),
                                   std::make_shared<ClioKvOffload>());
     ClioKvClient kv(client, {cluster.mn(0).nodeId()}, kKvOffloadId);
 
@@ -149,7 +150,7 @@ TEST(ClioMv, VersionLifecycle)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffload(
-        2, std::make_shared<ClioMvOffload>(16, 64, 32));
+        {.id = 2}, std::make_shared<ClioMvOffload>(16, 64, 32));
     ClioMvClient mv(client, cluster.mn(0).nodeId(), 2, 16);
 
     auto id = mv.create();
@@ -178,7 +179,7 @@ TEST(ClioMv, ManyObjectsIndependent)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffload(
-        2, std::make_shared<ClioMvOffload>(16, 128, 8));
+        {.id = 2}, std::make_shared<ClioMvOffload>(16, 128, 8));
     ClioMvClient mv(client, cluster.mn(0).nodeId(), 2, 16);
 
     std::vector<std::uint64_t> ids;
@@ -204,7 +205,8 @@ TEST(RadixTree, InsertAndSearchBothPaths)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     auto chase = std::make_shared<PointerChaseOffload>();
-    cluster.mn(0).registerOffloadShared(3, chase, client.pid());
+    cluster.mn(0).registerOffloadShared(PointerChaseOffload::descriptor(3),
+                                        chase, client.pid());
 
     RemoteRadixTree tree(client, cluster.mn(0).nodeId(), 3, 16 * MiB);
     EXPECT_TRUE(tree.insert("hello", 100));
@@ -231,7 +233,8 @@ TEST(RadixTree, OffloadSavesRoundTrips)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        3, std::make_shared<PointerChaseOffload>(), client.pid());
+        PointerChaseOffload::descriptor(3),
+        std::make_shared<PointerChaseOffload>(), client.pid());
     RemoteRadixTree tree(client, cluster.mn(0).nodeId(), 3, 16 * MiB);
 
     // Wide fanout: many siblings per level make per-node round trips
@@ -315,9 +318,11 @@ TEST(DataFrame, OffloadAndCnPlansAgree)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        4, std::make_shared<SelectOffload>(), client.pid());
+        SelectOffload::descriptor(4),
+        std::make_shared<SelectOffload>(), client.pid());
     cluster.mn(0).registerOffloadShared(
-        5, std::make_shared<AggregateOffload>(), client.pid());
+        AggregateOffload::descriptor(5),
+        std::make_shared<AggregateOffload>(), client.pid());
 
     const std::uint64_t rows = 20000;
     Rng rng(21);
@@ -349,9 +354,11 @@ TEST(DataFrame, OffloadShipsLessDataAtLowSelectivity)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        4, std::make_shared<SelectOffload>(), client.pid());
+        SelectOffload::descriptor(4),
+        std::make_shared<SelectOffload>(), client.pid());
     cluster.mn(0).registerOffloadShared(
-        5, std::make_shared<AggregateOffload>(), client.pid());
+        AggregateOffload::descriptor(5),
+        std::make_shared<AggregateOffload>(), client.pid());
 
     const std::uint64_t rows = 50000;
     Rng rng(22);

@@ -25,7 +25,8 @@ namespace {
 TEST(KvEdge, DeleteThenReinsertSameBucket)
 {
     DevBoard dev;
-    dev.registerOffload(1, std::make_shared<ClioKvOffload>(4));
+    dev.board().registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>(4));
     // Many keys in 4 buckets: deletes punch holes in slot chains that
     // later puts must reuse.
     std::map<std::string, std::string> mirror;
@@ -65,7 +66,8 @@ TEST(KvEdge, DeleteThenReinsertSameBucket)
 TEST(KvEdge, EmptyValueAndEmptyishKeys)
 {
     DevBoard dev;
-    dev.registerOffload(1, std::make_shared<ClioKvOffload>());
+    dev.board().registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>());
     ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kPut, "k", "")),
               Status::kOk);
     std::vector<std::uint8_t> data{1, 2, 3};
@@ -80,7 +82,8 @@ TEST(KvEdge, EmptyValueAndEmptyishKeys)
 TEST(KvEdge, MalformedArgumentsRejected)
 {
     DevBoard dev;
-    dev.registerOffload(1, std::make_shared<ClioKvOffload>());
+    dev.board().registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>());
     EXPECT_EQ(dev.offloadCall(1, {}), Status::kOffloadError);
     EXPECT_EQ(dev.offloadCall(1, {0x01}), Status::kOffloadError);
     // Truncated put (klen says 10, bytes missing).
@@ -90,7 +93,8 @@ TEST(KvEdge, MalformedArgumentsRejected)
 TEST(MvEdge, CapacityLimits)
 {
     DevBoard dev;
-    dev.registerOffload(2, std::make_shared<ClioMvOffload>(16, 2, 3));
+    dev.board().registerOffload({.id = 2},
+                                std::make_shared<ClioMvOffload>(16, 2, 3));
     std::uint64_t id1 = 0, id2 = 0, v = 0;
     EXPECT_EQ(dev.offloadCall(2, mvEncode(MvOp::kCreate), nullptr, &id1),
               Status::kOk);
@@ -121,7 +125,8 @@ TEST(RadixEdge, PrefixAndEmptyKeySemantics)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        3, std::make_shared<PointerChaseOffload>(), client.pid());
+        PointerChaseOffload::descriptor(3),
+        std::make_shared<PointerChaseOffload>(), client.pid());
     RemoteRadixTree tree(client, cluster.mn(0).nodeId(), 3, 8 * MiB);
 
     ASSERT_TRUE(tree.insert("ab", 1));
@@ -140,7 +145,8 @@ TEST(RadixEdge, ChaseOffloadValidatesArguments)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        3, std::make_shared<PointerChaseOffload>(), client.pid());
+        PointerChaseOffload::descriptor(3),
+        std::make_shared<PointerChaseOffload>(), client.pid());
     // Wrong-size argument blob.
     EXPECT_EQ(client.rcall(cluster.mn(0).nodeId(), 3, {1, 2, 3}).status(),
               Status::kOffloadError);
@@ -190,9 +196,11 @@ TEST(DataFrameEdge, EmptySelectionAndFullSelection)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     cluster.mn(0).registerOffloadShared(
-        4, std::make_shared<SelectOffload>(), client.pid());
+        SelectOffload::descriptor(4),
+        std::make_shared<SelectOffload>(), client.pid());
     cluster.mn(0).registerOffloadShared(
-        5, std::make_shared<AggregateOffload>(), client.pid());
+        AggregateOffload::descriptor(5),
+        std::make_shared<AggregateOffload>(), client.pid());
 
     const std::uint64_t rows = 5000;
     std::vector<std::uint8_t> col_a(rows, 1);

@@ -307,8 +307,8 @@ TEST(CBoardDevice, OffloadAddressSpacesAreIsolated)
     ClioClient &client = cluster.createClient(0);
     auto w1 = std::make_shared<Writer>();
     auto w2 = std::make_shared<Writer>();
-    cluster.mn(0).registerOffload(10, w1);
-    cluster.mn(0).registerOffload(11, w2);
+    cluster.mn(0).registerOffload({.id = 10}, w1);
+    cluster.mn(0).registerOffload({.id = 11}, w2);
     EXPECT_EQ(w1->slot, w2->slot); // same VA, separate spaces
 
     std::vector<std::uint8_t> arg(8);

@@ -50,7 +50,8 @@ TEST(DevBoard, OffloadDevelopmentWorkflow)
     // Developing Clio-KV against the DevBoard: same offload object
     // that deploys on the cluster.
     DevBoard dev;
-    dev.registerOffload(1, std::make_shared<ClioKvOffload>(64));
+    dev.board().registerOffload(
+        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>(64));
     std::vector<std::uint8_t> result;
     std::uint64_t found = 0;
     ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kPut, "k1", "v1")),

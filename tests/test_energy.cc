@@ -152,14 +152,10 @@ TEST(Resources, ComparisonRowsQuotePublishedNumbers)
 
 TEST(Resources, OffloadRowsScaleLutPerEngineBramShared)
 {
-    OffloadDescriptor a = defaultOffloadDescriptor(1);
-    a.name = "chase";
-    a.lut = 5000.0;
-    a.bram_bytes = 2048.0;
-    OffloadDescriptor b = defaultOffloadDescriptor(2);
-    b.name = "kv";
-    b.lut = 10000.0;
-    b.bram_bytes = 4096.0;
+    const OffloadDescriptor a = {
+        .id = 1, .name = "chase", .lut = 5000.0, .bram_bytes = 2048.0};
+    const OffloadDescriptor b = {
+        .id = 2, .name = "kv", .lut = 10000.0, .bram_bytes = 4096.0};
     const FpgaDevice dev;
     const auto one = offloadUtilization({a, b}, 1, dev);
     const auto two = offloadUtilization({a, b}, 2, dev);

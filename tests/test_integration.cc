@@ -437,6 +437,133 @@ TEST(Integration, DedupSuppressesReplayedWrite)
     EXPECT_EQ(out, b); // replay did NOT clobber the later write
 }
 
+/** Hand-crafted packet: part `part` of `total`, carrying payload bytes
+ * [offset, offset + len) of `msg`. */
+Packet
+craftedPart(NodeId src, NodeId dst, ReqId id, MsgType type,
+            std::shared_ptr<const Message> msg, std::uint32_t part,
+            std::uint32_t total, std::uint64_t offset, std::uint32_t len)
+{
+    Packet pkt;
+    pkt.src = src;
+    pkt.dst = dst;
+    pkt.req_id = id;
+    pkt.type = type;
+    pkt.part = part;
+    pkt.total_parts = total;
+    pkt.payload_offset = offset;
+    pkt.payload_len = len;
+    pkt.wire_bytes = kPacketHeaderBytes + len;
+    pkt.msg = std::move(msg);
+    return pkt;
+}
+
+/** A write of `size` 0x5A bytes from CN 0 to MN 0, not yet sent. */
+std::shared_ptr<RequestMsg>
+craftedWrite(Cluster &cluster, ProcId pid, VirtAddr addr, ReqId id,
+             std::uint64_t size)
+{
+    auto req = std::make_shared<RequestMsg>();
+    req->type = MsgType::kWrite;
+    req->pid = pid;
+    req->req_id = id;
+    req->orig_req_id = id;
+    req->src = cluster.cn(0).nodeId();
+    req->dst = cluster.mn(0).nodeId();
+    req->addr = addr;
+    req->size = size;
+    req->data.assign(size, 0x5A);
+    return req;
+}
+
+TEST(Integration, MalformedRequestPartsDropped)
+{
+    // A part index past the part count, or a part count that disagrees
+    // with the request's first packet, must neither count toward
+    // completion nor execute.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    const std::vector<std::uint8_t> zeros(16, 0);
+    ASSERT_EQ(client.rwrite(addr, zeros.data(), zeros.size()), Status::kOk);
+
+    const ReqId id = 0xBAD0001;
+    auto req = craftedWrite(cluster, client.pid(), addr, id, 16);
+    // Part 0 carries bytes [0, 8), every other part [8, 16).
+    auto send = [&](std::uint32_t part, std::uint32_t total) {
+        cluster.network().send(craftedPart(req->src, req->dst, id,
+                                           MsgType::kWrite, req, part,
+                                           total, part == 0 ? 0 : 8, 8));
+        cluster.run();
+    };
+    send(0, 2);
+    send(5, 2); // part index beyond the count
+    send(1, 3); // count disagrees with the first packet
+    EXPECT_FALSE(mn.dedupBuffer().find(id).has_value()); // not complete
+    EXPECT_EQ(mn.stats().malformed_parts_dropped, 2u);
+
+    send(1, 2); // the real second half completes the request
+    EXPECT_TRUE(mn.dedupBuffer().find(id).has_value());
+    std::vector<std::uint8_t> out(16);
+    ASSERT_EQ(client.rread(addr, out.data(), out.size()), Status::kOk);
+    EXPECT_EQ(out, req->data);
+}
+
+TEST(Integration, WriteSliceOutsidePayloadDropped)
+{
+    // A write slice must lie inside the request's data: executing
+    // [4, 12) of an 8-byte payload would read past the buffer.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    const std::vector<std::uint8_t> zeros(16, 0);
+    ASSERT_EQ(client.rwrite(addr, zeros.data(), zeros.size()), Status::kOk);
+
+    const ReqId id = 0xBAD0002;
+    auto req = craftedWrite(cluster, client.pid(), addr, id, 8);
+    cluster.network().send(craftedPart(req->src, req->dst, id,
+                                       MsgType::kWrite, req, 0, 1, 4, 8));
+    cluster.run();
+
+    EXPECT_EQ(mn.stats().malformed_parts_dropped, 1u);
+    EXPECT_FALSE(mn.dedupBuffer().find(id).has_value());
+    std::vector<std::uint8_t> out(16);
+    ASSERT_EQ(client.rread(addr, out.data(), out.size()), Status::kOk);
+    EXPECT_EQ(out, zeros);
+}
+
+TEST(Integration, MalformedResponsePartsDropped)
+{
+    // A response part past the part count must not complete the
+    // request while part 1 is missing. The MN is down, so only the
+    // crafted packets answer; the request must end in a timeout.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    cluster.mn(0).crash();
+
+    std::uint64_t out = 0;
+    HandlePtr read = client.rreadAsync(addr, &out, sizeof(out));
+    // The CN's ids: node id in the high bits, sequence 2 (1 = alloc).
+    const ReqId id = (static_cast<ReqId>(cluster.cn(0).nodeId()) << 40) | 2;
+    auto resp = std::make_shared<ResponseMsg>();
+    resp->req_id = id;
+    resp->data.assign(8, 0x5A);
+    for (std::uint32_t part : {0u, 5u}) {
+        cluster.network().send(craftedPart(cluster.mn(0).nodeId(),
+                                           cluster.cn(0).nodeId(), id,
+                                           MsgType::kResponse, resp, part,
+                                           2, part == 0 ? 0 : 4, 4));
+    }
+    cluster.run();
+
+    ASSERT_TRUE(read->done);
+    EXPECT_EQ(read->status, Status::kTimeout);
+    EXPECT_EQ(cluster.cn(0).stats().malformed_parts_dropped, 1u);
+}
+
 TEST(Integration, LatencyMatchesPaperBallpark)
 {
     // §7.1: 16 B reads ~2.5 us median end to end on the prototype.
@@ -587,7 +714,8 @@ TEST(Integration, OffloadInvocation)
 {
     Cluster cluster(baseConfig(), 1, 1);
     ClioClient &client = cluster.createClient(0);
-    cluster.mn(0).registerOffload(7, std::make_shared<EchoAddOffload>());
+    cluster.mn(0).registerOffload({.id = 7},
+                                  std::make_shared<EchoAddOffload>());
 
     std::vector<std::uint8_t> arg(8);
     const std::uint64_t v = 41;

@@ -198,10 +198,7 @@ class AccumOffload : public Offload
     static OffloadDescriptor
     descriptor(std::uint32_t id)
     {
-        OffloadDescriptor desc = defaultOffloadDescriptor(id);
-        desc.name = "accum";
-        desc.arg_bytes = 16;
-        return desc;
+        return {.id = id, .name = "accum", .arg_bytes = 16};
     }
 
     OffloadResult
@@ -460,7 +457,7 @@ TEST(OffloadRuntimeTest, RestartRerunsInit)
     Cluster cluster(ModelConfig::prototype(), 1, 1);
     ClioClient &client = cluster.createClient(0);
     auto off = std::make_shared<CountingInit>();
-    cluster.mn(0).registerOffload(77, off);
+    cluster.mn(0).registerOffload({.id = 77}, off);
     EXPECT_EQ(off->inits, 1);
     cluster.mn(0).crash();
     cluster.mn(0).restart();
