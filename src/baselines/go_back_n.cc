@@ -1,4 +1,4 @@
-#include "transport/go_back_n.hh"
+#include "baselines/go_back_n.hh"
 
 #include <algorithm>
 

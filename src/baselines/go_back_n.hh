@@ -16,8 +16,8 @@
  * order per flow.
  */
 
-#ifndef CLIO_TRANSPORT_GO_BACK_N_HH
-#define CLIO_TRANSPORT_GO_BACK_N_HH
+#ifndef CLIO_BASELINES_GO_BACK_N_HH
+#define CLIO_BASELINES_GO_BACK_N_HH
 
 #include <cstdint>
 #include <deque>
@@ -132,4 +132,4 @@ class GbnEndpoint
 
 } // namespace clio
 
-#endif // CLIO_TRANSPORT_GO_BACK_N_HH
+#endif // CLIO_BASELINES_GO_BACK_N_HH

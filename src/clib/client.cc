@@ -93,10 +93,34 @@ ClioClient::conflicts(const Footprint &a, const Footprint &b)
 }
 
 
-HandlePtr
-ClioClient::submit(Op op)
+ClioClient::Footprint
+ClioClient::span(VirtAddr addr, std::uint64_t len, bool is_write)
 {
+    return Footprint{addr / kTrackPage, (addr + len - 1) / kTrackPage,
+                     is_write, false};
+}
+
+std::shared_ptr<RequestMsg>
+ClioClient::newRequest(MsgType type, NodeId dst)
+{
+    auto req = cn_.requestPool().acquire();
+    req->type = type;
+    req->pid = pid_;
+    req->dst = dst;
+    return req;
+}
+
+HandlePtr
+ClioClient::submit(std::shared_ptr<RequestMsg> req, Footprint fp,
+                   std::uint64_t expected_resp_bytes, void *read_buf)
+{
+    Op op;
     op.op_seq = next_op_seq_++;
+    op.fp = fp;
+    op.handle = cn_.handlePool().acquire();
+    op.req = std::move(req);
+    op.expected_resp_bytes = expected_resp_bytes;
+    op.read_buf = read_buf;
     HandlePtr handle = op.handle;
     // Blocked iff it conflicts with a queued or inflight op.
     // Independent ops may overtake the queue (release order allows
@@ -243,62 +267,37 @@ ClioClient::rallocAsync(std::uint64_t size, std::uint8_t perm,
                           ? mn_override
                           : (alloc_picker_ ? alloc_picker_(size)
                                            : home_mn_);
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kAlloc;
-    req->pid = pid_;
-    req->dst = mn;
+    auto req = newRequest(MsgType::kAlloc, mn);
     req->size = size;
     req->perm = perm;
     req->populate = populate;
-    Op op;
-    op.fp = Footprint{0, 0, false, false}; // fresh VAs: no conflicts
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = 0;
-    return submit(std::move(op));
+    // Fresh VAs: no conflicts.
+    return submit(std::move(req), Footprint{0, 0, false, false});
 }
 
 HandlePtr
 ClioClient::rfreeAsync(VirtAddr addr)
 {
     stats_.frees++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kFree;
-    req->pid = pid_;
-    req->dst = mnFor(addr);
+    auto req = newRequest(MsgType::kFree, mnFor(addr));
     req->addr = addr;
     std::uint64_t size = kTrackPage;
     auto it = regionAt(addr);
     if (it != regions_.end() && it->start == addr && it->is_alloc)
         size = it->length;
-    Op op;
     // A free conflicts with any access to the freed range (§3.1: no
     // read/write may start until the rfree finishes).
-    op.fp = Footprint{addr / kTrackPage, (addr + size - 1) / kTrackPage,
-                      true, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    return submit(std::move(op));
+    return submit(std::move(req), span(addr, size, true));
 }
 
 HandlePtr
 ClioClient::rreadAsync(VirtAddr addr, void *buf, std::uint64_t len)
 {
     stats_.reads++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kRead;
-    req->pid = pid_;
-    req->dst = mnFor(addr);
+    auto req = newRequest(MsgType::kRead, mnFor(addr));
     req->addr = addr;
     req->size = len;
-    Op op;
-    op.fp = Footprint{addr / kTrackPage, (addr + len - 1) / kTrackPage,
-                      false, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = len;
-    op.read_buf = buf;
-    return submit(std::move(op));
+    return submit(std::move(req), span(addr, len, false), len, buf);
 }
 
 HandlePtr
@@ -315,19 +314,11 @@ ClioClient::rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data)
 {
     stats_.writes++;
     const std::uint64_t len = data.size();
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kWrite;
-    req->pid = pid_;
-    req->dst = mnFor(addr);
+    auto req = newRequest(MsgType::kWrite, mnFor(addr));
     req->addr = addr;
     req->size = len;
     req->data = std::move(data);
-    Op op;
-    op.fp = Footprint{addr / kTrackPage, (addr + len - 1) / kTrackPage,
-                      true, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    return submit(std::move(op));
+    return submit(std::move(req), span(addr, len, true));
 }
 
 HandlePtr
@@ -335,35 +326,22 @@ ClioClient::atomicAsync(VirtAddr addr, AtomicOp aop, std::uint64_t arg0,
                         std::uint64_t arg1)
 {
     stats_.atomics++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kAtomic;
-    req->pid = pid_;
-    req->dst = mnFor(addr);
+    auto req = newRequest(MsgType::kAtomic, mnFor(addr));
     req->addr = addr;
     req->size = 8;
     req->aop = aop;
     req->arg0 = arg0;
     req->arg1 = arg1;
-    Op op;
-    op.fp = Footprint{addr / kTrackPage, addr / kTrackPage, true, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    return submit(std::move(op));
+    // Ordered at the page of its first byte.
+    return submit(std::move(req), span(addr, 1, true));
 }
 
 HandlePtr
 ClioClient::fenceAsync()
 {
     stats_.fences++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kFence;
-    req->pid = pid_;
-    req->dst = home_mn_;
-    Op op;
-    op.fp = Footprint{0, ~0ull, true, true}; // full barrier
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    return submit(std::move(op));
+    return submit(newRequest(MsgType::kFence, home_mn_),
+                  Footprint{0, ~0ull, true, true}); // full barrier
 }
 
 HandlePtr
@@ -372,20 +350,13 @@ ClioClient::offloadAsync(NodeId mn, std::uint32_t offload_id,
                          std::uint64_t expected_resp_bytes)
 {
     stats_.offloads++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kOffload;
-    req->pid = pid_;
-    req->dst = mn;
+    auto req = newRequest(MsgType::kOffload, mn);
     req->offload_id = offload_id;
     req->offload_arg = std::move(arg);
-    Op op;
     // Offloads act on the offload's own RAS; apps order them with
     // rpoll when needed.
-    op.fp = Footprint{0, 0, false, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = expected_resp_bytes;
-    return submit(std::move(op));
+    return submit(std::move(req), Footprint{0, 0, false, false},
+                  expected_resp_bytes);
 }
 
 HandlePtr
@@ -394,20 +365,12 @@ ClioClient::rcallChainAsync(NodeId mn, const ChainPlan &plan,
 {
     stats_.offloads++;
     stats_.offload_chains++;
-    auto req = cn_.requestPool().acquire();
-    req->type = MsgType::kOffload;
-    req->pid = pid_;
-    req->dst = mn;
+    auto req = newRequest(MsgType::kOffload, mn);
     req->chain = plan.stages();
     req->chain_per_stage = plan.perStage();
-    Op op;
-    // Like single offloads: chains act on offload address spaces,
-    // ordered by the app via rpoll when needed.
-    op.fp = Footprint{0, 0, false, false};
-    op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = expected_resp_bytes;
-    return submit(std::move(op));
+    // Like single offloads: chains act on offload address spaces.
+    return submit(std::move(req), Footprint{0, 0, false, false},
+                  expected_resp_bytes);
 }
 
 bool

@@ -335,8 +335,17 @@ class ClioClient
     /** First record with start >= `addr`. */
     std::vector<Region>::iterator regionAt(VirtAddr addr);
 
-    /** Admit an op: issue now or queue behind conflicting ones (T2). */
-    HandlePtr submit(Op op);
+    /** Footprint of a `len`-byte access at `addr`. */
+    static Footprint span(VirtAddr addr, std::uint64_t len, bool is_write);
+
+    /** A pooled request of `type` from this process, bound for `dst`. */
+    std::shared_ptr<RequestMsg> newRequest(MsgType type, NodeId dst);
+
+    /** Wrap `req` in an op and admit it: issue now or queue behind
+     * conflicting ones (T2). */
+    HandlePtr submit(std::shared_ptr<RequestMsg> req, Footprint fp,
+                     std::uint64_t expected_resp_bytes = 0,
+                     void *read_buf = nullptr);
     void issueNow(Op op);
     void onComplete(std::uint64_t op_seq, const ResponseMsg &resp);
     void drainPending();

@@ -87,13 +87,7 @@ CNode::issue(std::shared_ptr<RequestMsg> req,
     if (!alive_) {
         // The node is down (health plane / chaos): the op fails
         // immediately — its issuing process no longer exists.
-        stats_.failures++;
-        eq_.schedule(eq_.now() + cfg_.clib.recv_overhead,
-                     [cb = std::move(cb)] {
-                         ResponseMsg fail;
-                         fail.status = Status::kTimeout;
-                         cb(fail);
-                     });
+        failLater(std::move(cb), Status::kTimeout);
         return;
     }
     const ReqId id = (static_cast<ReqId>(node_) << 40) | next_req_seq_++;
@@ -194,8 +188,6 @@ CNode::transmit(Outstanding &out)
 Tick
 CNode::timeoutFor(const RequestMsg &req) const
 {
-    if (req.timeout_override)
-        return req.timeout_override;
     switch (req.type) {
       case MsgType::kAlloc:
       case MsgType::kFree:
@@ -253,18 +245,7 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
     const NodeId mn = out.req->dst;
     if (congestion_signal) {
         PerMn &st = mn_state_[mnIndex(mn)];
-        const Tick guard = std::max<Tick>(st.last_rtt, cfg_.clib.timeout);
-        if (eq_.now() >= st.last_decrease + guard) {
-            st.cwnd = std::max(st.cwnd * cfg_.clib.cwnd_mult_dec, 0.01);
-            st.last_decrease = eq_.now();
-            stats_.cwnd_decreases++;
-            if (st.cwnd < 1.0 && st.last_rtt > 0) {
-                st.next_send_allowed =
-                    eq_.now() + static_cast<Tick>(
-                                    static_cast<double>(st.last_rtt) /
-                                    st.cwnd);
-            }
-        }
+        decreaseCwnd(st, std::max<Tick>(st.last_rtt, cfg_.clib.timeout));
     }
     if (out.retries >= cfg_.clib.max_retries) {
         // Give up: surface the failure to the application (§4.5 T4,
@@ -280,18 +261,11 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
             "retries",
             node_, (unsigned long long)out.req->orig_req_id,
             out.req->dst, to_string(status), out.retries));
-        stats_.failures++;
         PerMn &st = mn_state_[mnIndex(mn)];
         clio_assert(st.inflight > 0, "inflight underflow");
         st.inflight--;
         iwnd_used_ -= out.expected_resp_bytes;
-        const Tick deliver = eq_.now() + cfg_.clib.recv_overhead;
-        auto cb = std::move(out.cb);
-        eq_.schedule(deliver, [cb = std::move(cb), status] {
-            ResponseMsg fail;
-            fail.status = status;
-            cb(fail);
-        });
+        failLater(std::move(out.cb), status);
         freeSlot(slot);
         pumpWaiting();
         return;
@@ -337,6 +311,33 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
 }
 
 void
+CNode::decreaseCwnd(PerMn &st, Tick guard)
+{
+    if (eq_.now() < st.last_decrease + guard)
+        return;
+    st.cwnd = std::max(st.cwnd * cfg_.clib.cwnd_mult_dec, 0.01);
+    st.last_decrease = eq_.now();
+    stats_.cwnd_decreases++;
+    if (st.cwnd < 1.0 && st.last_rtt > 0) {
+        st.next_send_allowed =
+            eq_.now() + static_cast<Tick>(
+                            static_cast<double>(st.last_rtt) / st.cwnd);
+    }
+}
+
+void
+CNode::failLater(Completion cb, Status status)
+{
+    stats_.failures++;
+    eq_.schedule(eq_.now() + cfg_.clib.recv_overhead,
+                 [cb = std::move(cb), status] {
+                     ResponseMsg fail;
+                     fail.status = status;
+                     cb(fail);
+                 });
+}
+
+void
 CNode::updateCwnd(NodeId mn, Tick rtt)
 {
     PerMn &st = mn_state_[mnIndex(mn)];
@@ -345,16 +346,7 @@ CNode::updateCwnd(NodeId mn, Tick rtt)
         // At most one multiplicative decrease per RTT: every ack of
         // the same congested window carries a high RTT sample, and
         // reacting to each would collapse cwnd to the floor.
-        if (eq_.now() >= st.last_decrease + rtt) {
-            st.cwnd = std::max(st.cwnd * cfg_.clib.cwnd_mult_dec, 0.01);
-            st.last_decrease = eq_.now();
-            stats_.cwnd_decreases++;
-            if (st.cwnd < 1.0) {
-                st.next_send_allowed =
-                    eq_.now() + static_cast<Tick>(
-                                    static_cast<double>(rtt) / st.cwnd);
-            }
-        }
+        decreaseCwnd(st, rtt);
     } else {
         st.cwnd = std::min(st.cwnd + cfg_.clib.cwnd_add_step,
                            cfg_.clib.cwnd_max);
@@ -487,14 +479,7 @@ CNode::crash()
         Outstanding &out = out_slots_[slot];
         if (!out.cb)
             continue; // free, or already completed
-        stats_.failures++;
-        auto cb = std::move(out.cb);
-        eq_.schedule(eq_.now() + cfg_.clib.recv_overhead,
-                     [cb = std::move(cb)] {
-                         ResponseMsg fail;
-                         fail.status = Status::kTimeout;
-                         cb(fail);
-                     });
+        failLater(std::move(out.cb), Status::kTimeout);
         freeSlot(slot);
     }
     out_index_.clear();

@@ -185,6 +185,12 @@ class CNode
     void handleTimeout(ReqId attempt_id, std::uint64_t generation);
     void retry(std::uint32_t slot, bool congestion_signal);
     void updateCwnd(NodeId mn, Tick rtt);
+    /** Multiplicative decrease, at most once per `guard` ticks; below
+     * one request per RTT it also arms the pacing gate. */
+    void decreaseCwnd(PerMn &st, Tick guard);
+    /** Fail a request back to its caller after the CLib receive
+     * overhead (counted in CNodeStats::failures). */
+    void failLater(Completion cb, Status status);
     /** Index of `mn`'s congestion record (appended on first use). A
      * handful of MNs exist per cluster, so a linear id scan beats
      * hashing. */

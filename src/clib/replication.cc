@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -113,58 +112,27 @@ ReplicatedRegion::heal(NodeId replacement_mn)
         return Status::kRetryExceeded; // controller resync owns the slot
     if (primary_alive_ && backup_alive_)
         return Status::kOk; // nothing to heal
-    if (!primary_alive_ && !backup_alive_)
+    if (bothDead())
         return Status::kRetryExceeded; // no surviving copy
     const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
     clio_assert(client_.mnFor(survivor) != replacement_mn,
                 "replacement replica must not share the survivor's MN");
 
-    SubmissionBatch alloc_batch(client_);
-    const std::size_t a =
-        alloc_batch.alloc(size_, kPermReadWrite, false, replacement_mn);
-    const BatchOutcome alloc_out = alloc_batch.submitAndWait();
-    if (!alloc_out.completions[a].ok())
-        return alloc_out.completions[a].status;
-    const VirtAddr fresh = alloc_out.completions[a].value;
-
-    // Stream the surviving copy over in bounded chunks (the copy is a
-    // client-driven read+write pipeline, like the paper's suggested
-    // user-level replication service would run).
-    const std::uint64_t chunk = std::max<std::uint64_t>(
-        1, client_.cnode().config().clib.resync_chunk_bytes);
-    std::vector<std::uint8_t> buf(std::min<std::uint64_t>(chunk, size_));
-    for (std::uint64_t off = 0; off < size_; off += chunk) {
-        const std::uint64_t n = std::min<std::uint64_t>(chunk, size_ - off);
-        Status st = client_.rread(survivor + off, buf.data(), n);
-        if (st != Status::kOk) {
-            // The SURVIVOR died mid-copy: abandon the half-copied
-            // replacement — it must never be marked healthy — and
-            // mark the source slot dead so callers see the region as
-            // lost rather than retrying reads against a dead board.
-            if (primary_alive_)
-                primary_alive_ = false;
-            else
-                backup_alive_ = false;
-            return Status::kTimeout;
-        }
-        st = client_.rwrite(fresh + off, buf.data(), n);
-        if (st != Status::kOk)
-            return st;
-    }
-
-    // Swap the fresh copy into the dead slot. The old VA is not freed:
-    // the board that held it lost all volatile state when it crashed.
-    if (!primary_alive_) {
-        primary_ = fresh;
-        primary_mn_ = replacement_mn;
-        primary_alive_ = true;
-    } else {
-        backup_ = fresh;
-        backup_mn_ = replacement_mn;
-        backup_alive_ = true;
-    }
-    resyncs_++;
-    return Status::kOk;
+    // The controller's resync, pumped to completion: writes issued
+    // meanwhile mirror into the copy, and the controller sees the slot
+    // taken instead of starting a second copy.
+    bool finished = false;
+    Status result = Status::kOk;
+    const bool started =
+        beginResync(replacement_mn, [&finished, &result](Status st) {
+            finished = true;
+            result = st;
+        });
+    clio_assert(started, "heal: resync refused on a degraded region");
+    const bool ok = client_.cnode().eventQueue().runUntil(
+        [&finished] { return finished; });
+    clio_assert(ok, "heal: simulation drained mid-resync");
+    return result;
 }
 
 void
@@ -183,7 +151,7 @@ ReplicatedRegion::markMnDead(NodeId mn)
 
 bool
 ReplicatedRegion::beginResync(NodeId replacement_mn,
-                              std::function<void(bool)> done)
+                              std::function<void(Status)> done)
 {
     if (resync_.active || !degraded() || bothDead())
         return false;
@@ -216,13 +184,13 @@ ReplicatedRegion::pumpResync()
         if (!resync_.active)
             continue; // stale completion after an abort finished
         if (resync_.aborting) {
-            finishResync(false);
+            finishResync(Status::kTimeout); // an MN was declared dead
             continue;
         }
         switch (c.tag) {
           case kTagAlloc:
             if (!c.ok()) {
-                finishResync(false);
+                finishResync(c.status);
                 break;
             }
             resync_.target_va = c.value;
@@ -232,12 +200,13 @@ ReplicatedRegion::pumpResync()
             if (!c.ok()) {
                 // The SURVIVOR died mid-copy: no healthy source left.
                 // The half-copied target is abandoned, never marked
-                // healthy (same contract as heal()).
+                // healthy, and the source slot is marked dead so
+                // callers see the region as lost.
                 if (primary_alive_)
                     primary_alive_ = false;
                 else
                     backup_alive_ = false;
-                finishResync(false);
+                finishResync(Status::kTimeout);
                 break;
             }
             resync_cq_.watch(
@@ -247,7 +216,7 @@ ReplicatedRegion::pumpResync()
             break;
           case kTagWrite:
             if (!c.ok()) {
-                finishResync(false); // target died mid-copy
+                finishResync(c.status); // target died mid-copy
                 break;
             }
             issueResyncRead();
@@ -275,7 +244,7 @@ ReplicatedRegion::issueResyncRead()
             backup_alive_ = true;
         }
         resyncs_++;
-        finishResync(true);
+        finishResync(Status::kOk);
         return;
     }
     const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
@@ -290,7 +259,7 @@ ReplicatedRegion::issueResyncRead()
 }
 
 void
-ReplicatedRegion::finishResync(bool success)
+ReplicatedRegion::finishResync(Status status)
 {
     // On failure the target VA is abandoned: either its board is dead
     // (nothing to free) or the source died (the controller will find
@@ -302,7 +271,7 @@ ReplicatedRegion::finishResync(bool success)
     auto done = std::move(resync_.done);
     resync_.done = nullptr;
     if (done)
-        done(success);
+        done(status);
 }
 
 void

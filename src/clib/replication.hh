@@ -19,6 +19,7 @@
  * calls markMnDead() and later drives beginResync() — an asynchronous
  * chunked copy from the survivor onto a replacement MN that runs as
  * ordinary simulator events, concurrently with foreground traffic.
+ * A client's heal() starts the same copy and waits for it.
  * During resync, reads stay on the survivor (degraded mode) and
  * writes mirror into the already-copied prefix of the target, so the
  * region is consistent the instant the last chunk lands; the swap to
@@ -106,16 +107,17 @@ class ReplicatedRegion
     /** @} */
 
     /**
-     * Re-replicate after a replica died: allocate a fresh copy on
-     * `replacement_mn` (a restarted or spare board, distinct from the
-     * survivor's MN), stream the surviving replica's bytes into it,
-     * and swap it in for the dead slot. No-op (kOk) when both replicas
-     * are healthy; kRetryExceeded when both are dead (nothing left to
-     * copy from); kTimeout when the SURVIVOR dies mid-copy (the
-     * half-copied replacement is abandoned, never marked healthy).
-     * The dead replica's old VA is NOT freed — its board lost that
-     * state when it crashed. Synchronous (pumps the simulation); the
-     * controller path uses beginResync() instead.
+     * Re-replicate after a replica died: the same beginResync() copy
+     * the controller drives, pumped until it finishes — so writes
+     * issued meanwhile mirror into the copy, and a controller resync
+     * cannot start alongside it. `replacement_mn` (a restarted or
+     * spare board) must differ from the survivor's MN. kOk when both
+     * replicas are already healthy; kRetryExceeded when both are dead
+     * (nothing left to copy from) or a resync is already running;
+     * kTimeout when the SURVIVOR dies mid-copy (the half-copied
+     * replacement is abandoned, never marked healthy); otherwise the
+     * replacement's alloc or write status. The dead replica's old VA
+     * is NOT freed — its board lost that state when it crashed.
      */
     Status heal(NodeId replacement_mn);
 
@@ -130,12 +132,13 @@ class ReplicatedRegion
      * Start an asynchronous controller-driven re-replication onto
      * `replacement_mn`: alloc, then a chunked read→write pipeline of
      * CLibConfig::resync_chunk_bytes per step, advanced by completion
-     * events (no pumping). `done(success)` fires exactly once from an
-     * event context. @return false when not applicable (healthy, both
-     * dead, already resyncing, or replacement == survivor's MN).
+     * events (no pumping). `done(status)` fires exactly once from an
+     * event context, with the status heal() reports. @return false
+     * when not applicable (healthy, both dead, already resyncing, or
+     * replacement == survivor's MN).
      */
     bool beginResync(NodeId replacement_mn,
-                     std::function<void(bool)> done);
+                     std::function<void(Status)> done);
     /** @} */
 
     /** Release both replicas (and unregister from the registry). */
@@ -151,7 +154,7 @@ class ReplicatedRegion
     void pumpResync();
     /** Issue the read of the next chunk (or finish when done). */
     void issueResyncRead();
-    void finishResync(bool success);
+    void finishResync(Status status);
 
     ClioClient &client_;
     std::uint64_t size_ = 0;
@@ -183,7 +186,7 @@ class ReplicatedRegion
         std::uint64_t cur_off = 0;
         std::uint64_t cur_len = 0;
         std::vector<std::uint8_t> buf;
-        std::function<void(bool)> done;
+        std::function<void(Status)> done;
     };
     Resync resync_;
     CompletionQueue resync_cq_;

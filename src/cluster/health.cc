@@ -422,7 +422,7 @@ HealthPlane::pumpResyncQueue()
         }
         const bool started = r->beginResync(
             replacement,
-            [this, id](bool success) { onResyncDone(id, success); });
+            [this, id](Status st) { onResyncDone(id, st == Status::kOk); });
         if (!started) {
             e->queued = false;
             continue;

@@ -168,11 +168,6 @@ struct RequestMsg : Message
     bool chain_per_stage = false;
     /** @} */
 
-    /** Optional per-request retry-timeout override (0 = use the
-     * config default for the request class). Long-running offloads
-     * (e.g. full-table scans) set this. */
-    Tick timeout_override = 0;
-
     /** Membership epoch the issuing CN believed current when this
      * attempt was transmitted (stamped per attempt, so a retry after
      * an epoch refresh carries the new epoch). MNs fence requests
@@ -202,7 +197,6 @@ struct RequestMsg : Message
         offload_arg.clear();
         chain.clear();
         chain_per_stage = false;
-        timeout_override = 0;
         epoch = 0;
     }
 };

@@ -1,7 +1,5 @@
 #include "sim/config.hh"
 
-#include <cstdlib>
-
 #include "sim/rng.hh"
 
 namespace clio {
@@ -12,11 +10,6 @@ ModelConfig::prototype()
     // The defaults in the struct definitions *are* the ZCU106 prototype.
     ModelConfig cfg;
     cfg.seed = defaultSeed(cfg.seed);
-    if (const char *env = std::getenv("CLIO_OFFLOAD_ENGINES")) {
-        const unsigned long engines = std::strtoul(env, nullptr, 10);
-        if (engines > 0)
-            cfg.offload.engines = static_cast<std::uint32_t>(engines);
-    }
     return cfg;
 }
 

@@ -289,7 +289,7 @@ struct OffloadConfig
 {
     /** Replicated offload engines the scheduler arbitrates; each
      * invocation (or whole chained plan) occupies one engine for its
-     * modeled duration. Overridable via CLIO_OFFLOAD_ENGINES. */
+     * modeled duration. */
     std::uint32_t engines = 2;
     /** Max stages a chained plan may carry (kChainTooDeep beyond). */
     std::uint32_t max_chain_depth = 16;
@@ -353,7 +353,7 @@ struct ModelConfig
     /** Event-queue engine driving the cluster (kDefault resolves to
      * the timing wheel unless CLIO_EVENT_QUEUE=heap is set). Both
      * engines order events identically; kBinaryHeap exists for
-     * differential testing and as the self-perf baseline. */
+     * differential testing. */
     EventQueueImpl event_queue_impl = EventQueueImpl::kDefault;
 
     /** The FPGA prototype configuration evaluated in the paper. */

@@ -29,8 +29,7 @@
  *    O(1) schedule, amortized O(1) pop.
  *
  *  - kBinaryHeap: the reference implementation — a binary heap of
- *    std::function events, kept as a baseline for differential tests
- *    and for the self-perf harness to measure the wheel against.
+ *    std::function events, kept as the oracle for differential tests.
  *
  * Both order events identically, byte-for-byte reproducibly.
  */

@@ -9,12 +9,12 @@
 #include <numeric>
 #include <vector>
 
+#include "baselines/go_back_n.hh"
 #include "clib/cnode.hh"
 #include "cluster/cluster.hh"
 #include "net/network.hh"
 #include "proto/wire.hh"
 #include "sim/rng.hh"
-#include "transport/go_back_n.hh"
 
 namespace clio {
 namespace {

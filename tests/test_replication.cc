@@ -10,6 +10,7 @@
 
 #include "clib/replication.hh"
 #include "cluster/cluster.hh"
+#include "cluster/health.hh"
 
 namespace clio {
 namespace {
@@ -238,6 +239,71 @@ TEST(Replication, HealAbortsWhenSurvivorDiesMidCopy)
     EXPECT_NE(region.read(0, &out, 8), Status::kOk);
     std::uint64_t v = 1;
     EXPECT_NE(region.write(0, &v, 8), Status::kOk);
+}
+
+TEST(Replication, HealMirrorsWriteDuringCopy)
+{
+    // Regression: heal() used to run its own copy loop, so a write
+    // landing while it streamed chunks was not mirrored into the
+    // already-copied prefix and the healed replica kept stale bytes.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    std::uint64_t v = 0x1111;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+
+    cluster.crashMn(0);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk); // failover
+    ASSERT_FALSE(region.primaryAlive());
+
+    // 1 ms in, chunk 0 of the 4 MiB copy has long been copied.
+    Status mid_status = Status::kTimeout;
+    cluster.eventQueue().scheduleAfter(kMillisecond, [&] {
+        const std::uint64_t v2 = 0x2222;
+        mid_status = region.write(0, &v2, 8);
+    });
+    ASSERT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kOk);
+    EXPECT_EQ(mid_status, Status::kOk);
+    EXPECT_EQ(region.primaryMn(), cluster.mn(2).nodeId());
+
+    // Only the healed copy on MN 2 is left to serve the read.
+    cluster.crashMn(1);
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0x2222u);
+}
+
+TEST(Replication, HealExcludesControllerResync)
+{
+    // Regression: with the health plane on, the controller used to
+    // start its own resync while a client heal() copied, leaving both
+    // replicas on the same MN and two resyncs counted.
+    auto cfg = ModelConfig::prototype();
+    cfg.health.enabled = true;
+    Cluster cluster(cfg, 1, 3);
+    HealthPlane *hp = cluster.health();
+    ASSERT_NE(hp, nullptr);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+
+    // The client notices the crash before the controller's lease runs
+    // out; detection then fires while heal() is copying.
+    cluster.crashMn(0);
+    region.markMnDead(cluster.mn(0).nodeId());
+    ASSERT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kOk);
+    EXPECT_GE(hp->stats().deaths, 1u);
+    cluster.eventQueue().runUntilTime(cluster.eventQueue().now() +
+                                      kMillisecond);
+
+    EXPECT_EQ(region.resyncs(), 1u);
+    EXPECT_EQ(hp->stats().resyncs_started, 0u);
+    EXPECT_NE(region.primaryMn(), region.backupMn());
+    EXPECT_EQ(region.primaryMn(), cluster.mn(2).nodeId());
+    EXPECT_TRUE(region.fullyRedundant());
 }
 
 TEST(Replication, ResyncChunkSizeIsConfigurable)
