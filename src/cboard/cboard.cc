@@ -52,7 +52,7 @@ CBoard::CBoard(EventQueue &eq, Network &network, const ModelConfig &cfg,
 {
     phys_bytes_ = phys_bytes ? phys_bytes : cfg.mn_phys_bytes;
     node_ = net_.addNode([this](Packet pkt) { onPacket(std::move(pkt)); },
-                         0, rack);
+                         rack);
     bootstrapAsyncBuffer();
 }
 

@@ -8,44 +8,9 @@
 namespace clio {
 
 FaultPlan &
-FaultPlan::crashMn(Tick at, std::uint32_t mn_idx)
+FaultPlan::add(Tick at, FaultAction::Kind kind, std::uint32_t target)
 {
-    actions_.push_back({at, FaultAction::Kind::kCrashMn, mn_idx});
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::restartMn(Tick at, std::uint32_t mn_idx)
-{
-    actions_.push_back({at, FaultAction::Kind::kRestartMn, mn_idx});
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::killRack(Tick at, RackId rack)
-{
-    actions_.push_back({at, FaultAction::Kind::kKillRack, rack});
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::restoreRack(Tick at, RackId rack)
-{
-    actions_.push_back({at, FaultAction::Kind::kRestoreRack, rack});
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::crashCn(Tick at, std::uint32_t cn_idx)
-{
-    actions_.push_back({at, FaultAction::Kind::kCrashCn, cn_idx});
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::restartCn(Tick at, std::uint32_t cn_idx)
-{
-    actions_.push_back({at, FaultAction::Kind::kRestartCn, cn_idx});
+    actions_.push_back({at, kind, target});
     return *this;
 }
 
@@ -69,6 +34,39 @@ FaultPlan::horizon() const
     return h;
 }
 
+void
+FaultPlan::addOutages(Rng &rng, const RandomOpts &opts,
+                      std::vector<std::uint32_t> victims,
+                      std::uint32_t count, FaultAction::Kind down,
+                      FaultAction::Kind up)
+{
+    // Pick distinct victims by a seeded Fisher-Yates shuffle prefix.
+    for (std::size_t i = victims.size(); i > 1; i--) {
+        const std::size_t j =
+            static_cast<std::size_t>(rng.uniformInt(i));
+        std::swap(victims[i - 1], victims[j]);
+    }
+    const std::uint32_t n = std::min<std::uint32_t>(
+        count, static_cast<std::uint32_t>(victims.size()));
+    for (std::uint32_t i = 0; i < n; i++) {
+        // Go down somewhere in the first ~70% of the run, leaving time
+        // for the restart + recovery traffic before the horizon.
+        const Tick at = rng.uniformRange(opts.duration / 10,
+                                         (opts.duration * 7) / 10);
+        const Tick downtime = opts.max_downtime > opts.min_downtime
+                                  ? rng.uniformRange(opts.min_downtime,
+                                                     opts.max_downtime)
+                                  : opts.min_downtime;
+        // Every schedule recovers: the restart always lands inside
+        // the plan (clamped, never dropped).
+        Tick back = at + std::max<Tick>(downtime, 1);
+        if (back >= opts.duration)
+            back = opts.duration - 1;
+        add(at, down, victims[i]);
+        add(std::max(back, at + 1), up, victims[i]);
+    }
+}
+
 FaultPlan
 FaultPlan::randomized(std::uint64_t seed, const RandomOpts &opts)
 {
@@ -78,34 +76,11 @@ FaultPlan::randomized(std::uint64_t seed, const RandomOpts &opts)
     FaultPlan plan;
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 0xC8A05);
 
-    // Pick distinct victims by a seeded Fisher-Yates shuffle prefix.
-    std::vector<std::uint32_t> victims = opts.candidates;
-    for (std::size_t i = victims.size(); i > 1; i--) {
-        const std::size_t j =
-            static_cast<std::size_t>(rng.uniformInt(i));
-        std::swap(victims[i - 1], victims[j]);
-    }
-    const std::uint32_t n_crashes = std::min<std::uint32_t>(
-        opts.crashes, static_cast<std::uint32_t>(victims.size()));
-
-    for (std::uint32_t i = 0; i < n_crashes; i++) {
-        // Crash somewhere in the first ~70% of the run, leaving time
-        // for the restart + recovery traffic before the horizon.
-        const Tick lo = opts.duration / 10;
-        const Tick hi = (opts.duration * 7) / 10;
-        const Tick at = rng.uniformRange(lo, hi);
-        Tick down = opts.max_downtime > opts.min_downtime
-                        ? rng.uniformRange(opts.min_downtime,
-                                           opts.max_downtime)
-                        : opts.min_downtime;
-        // Every schedule recovers: the restart always lands inside
-        // the plan (clamped, never dropped).
-        Tick back = at + std::max<Tick>(down, 1);
-        if (back >= opts.duration)
-            back = opts.duration - 1;
-        plan.crashMn(at, victims[i]);
-        plan.restartMn(std::max(back, at + 1), victims[i]);
-    }
+    // The MN victims are shuffled even when no crash is asked for, so
+    // every later draw stays where older builds made it.
+    plan.addOutages(rng, opts, opts.candidates, opts.crashes,
+                    FaultAction::Kind::kCrashMn,
+                    FaultAction::Kind::kRestartMn);
 
     if (opts.drop_rate > 0 || opts.corrupt_rate > 0 ||
         opts.duplicate_rate > 0) {
@@ -121,53 +96,15 @@ FaultPlan::randomized(std::uint64_t seed, const RandomOpts &opts)
     // Every extension below draws from the rng only when its knob is
     // set, strictly after all the draws above — schedules that don't
     // use the new knobs replay byte-identically to older builds.
-    if (opts.cn_crashes > 0 && !opts.cn_candidates.empty()) {
-        std::vector<std::uint32_t> cn_victims = opts.cn_candidates;
-        for (std::size_t i = cn_victims.size(); i > 1; i--) {
-            const std::size_t j =
-                static_cast<std::size_t>(rng.uniformInt(i));
-            std::swap(cn_victims[i - 1], cn_victims[j]);
-        }
-        const std::uint32_t n = std::min<std::uint32_t>(
-            opts.cn_crashes,
-            static_cast<std::uint32_t>(cn_victims.size()));
-        for (std::uint32_t i = 0; i < n; i++) {
-            const Tick at = rng.uniformRange(opts.duration / 10,
-                                             (opts.duration * 7) / 10);
-            Tick down = opts.max_downtime > opts.min_downtime
-                            ? rng.uniformRange(opts.min_downtime,
-                                               opts.max_downtime)
-                            : opts.min_downtime;
-            Tick back = at + std::max<Tick>(down, 1);
-            if (back >= opts.duration)
-                back = opts.duration - 1;
-            plan.crashCn(at, cn_victims[i]);
-            plan.restartCn(std::max(back, at + 1), cn_victims[i]);
-        }
+    if (opts.cn_crashes > 0) {
+        plan.addOutages(rng, opts, opts.cn_candidates, opts.cn_crashes,
+                        FaultAction::Kind::kCrashCn,
+                        FaultAction::Kind::kRestartCn);
     }
-
-    if (opts.rack_kills > 0 && !opts.rack_candidates.empty()) {
-        std::vector<std::uint32_t> racks = opts.rack_candidates;
-        for (std::size_t i = racks.size(); i > 1; i--) {
-            const std::size_t j =
-                static_cast<std::size_t>(rng.uniformInt(i));
-            std::swap(racks[i - 1], racks[j]);
-        }
-        const std::uint32_t n = std::min<std::uint32_t>(
-            opts.rack_kills, static_cast<std::uint32_t>(racks.size()));
-        for (std::uint32_t i = 0; i < n; i++) {
-            const Tick at = rng.uniformRange(opts.duration / 10,
-                                             (opts.duration * 7) / 10);
-            Tick down = opts.max_downtime > opts.min_downtime
-                            ? rng.uniformRange(opts.min_downtime,
-                                               opts.max_downtime)
-                            : opts.min_downtime;
-            Tick back = at + std::max<Tick>(down, 1);
-            if (back >= opts.duration)
-                back = opts.duration - 1;
-            plan.killRack(at, racks[i]);
-            plan.restoreRack(std::max(back, at + 1), racks[i]);
-        }
+    if (opts.rack_kills > 0) {
+        plan.addOutages(rng, opts, opts.rack_candidates, opts.rack_kills,
+                        FaultAction::Kind::kKillRack,
+                        FaultAction::Kind::kRestoreRack);
     }
 
     if (opts.hb_loss_rate > 0 && opts.hb_loss_duration > 0) {
@@ -201,7 +138,7 @@ FaultInjector::FaultInjector(Cluster &cluster, FaultPlan plan,
 FaultInjector::~FaultInjector()
 {
     if (armed_)
-        cluster_.network().clearFaultHook();
+        cluster_.network().setFaultHook(nullptr);
 }
 
 void
@@ -220,9 +157,7 @@ FaultInjector::arm()
     }
     if (!plan_.windows().empty()) {
         cluster_.network().setFaultHook(
-            [this](const Packet &pkt, NetStage stage) {
-                return onStage(pkt, stage);
-            });
+            [this](const Packet &pkt) { return onHop(pkt); });
     }
 }
 
@@ -258,9 +193,8 @@ FaultInjector::fire(const FaultAction &action)
 }
 
 FaultVerdict
-FaultInjector::onStage(const Packet &pkt, NetStage stage)
+FaultInjector::onHop(const Packet &pkt)
 {
-    (void)stage;
     FaultVerdict v;
     const Tick now = cluster_.eventQueue().now();
     for (const PacketFaultWindow &w : plan_.windows()) {
@@ -283,10 +217,6 @@ FaultInjector::onStage(const Packet &pkt, NetStage stage)
         if (w.duplicate_rate > 0 && rng_.chance(w.duplicate_rate)) {
             stats_.duplicates++;
             v.duplicate = true;
-        }
-        if (w.extra_delay > 0) {
-            stats_.delays++;
-            v.extra_delay += w.extra_delay;
         }
     }
     return v;

@@ -4,10 +4,10 @@
  *
  * A FaultPlan is pure data: a schedule of node/rack failure events
  * (MN crashes, restarts, rack ToR kills) plus packet-fault windows
- * (drop/corrupt/duplicate/delay probabilities active over a time
- * range). A FaultInjector arms a plan against a Cluster: failure
- * actions become ordinary simulator events and packet faults install
- * the Network's per-stage fault hook, drawing from an Rng seeded by
+ * (drop/corrupt/duplicate probabilities active over a time range).
+ * A FaultInjector arms a plan against a Cluster: failure actions
+ * become ordinary simulator events and packet faults install the
+ * Network's per-hop fault hook, drawing from an Rng seeded by
  * the plan's seed. Everything downstream of one (plan, seed) pair is
  * deterministic, so a chaotic run replays byte-identically — that is
  * what lets the chaos ctest tier assert linearizable recovery AND
@@ -50,9 +50,12 @@ struct FaultAction
     Kind kind = Kind::kCrashMn;
     /** MN/CN index (crash/restart) or rack id (kill/restore). */
     std::uint32_t target = 0;
+
+    bool operator==(const FaultAction &) const = default;
 };
 
-/** Packet-fault probabilities active while start <= now < end. */
+/** Packet-fault probabilities active while start <= now < end, drawn
+ * once per hop a packet traverses. */
 struct PacketFaultWindow
 {
     Tick start = 0;
@@ -60,8 +63,6 @@ struct PacketFaultWindow
     double drop_rate = 0.0;
     double corrupt_rate = 0.0;
     double duplicate_rate = 0.0;
-    /** Extra delivery delay added to every packet in the window. */
-    Tick extra_delay = 0;
     /** Apply only to heartbeat packets (lease-loss windows: starves
      * the failure detector while data traffic flows untouched, the
      * classic false-positive scenario for lease protocols). */
@@ -80,7 +81,8 @@ struct ChaosStats
     std::uint64_t drops = 0;
     std::uint64_t corrupts = 0;
     std::uint64_t duplicates = 0;
-    std::uint64_t delays = 0;
+
+    bool operator==(const ChaosStats &) const = default;
 };
 
 /** A declarative chaos schedule (pure data, cheap to copy). */
@@ -88,12 +90,30 @@ class FaultPlan
 {
   public:
     /** @{ Fluent builders (explicit scenarios). */
-    FaultPlan &crashMn(Tick at, std::uint32_t mn_idx);
-    FaultPlan &restartMn(Tick at, std::uint32_t mn_idx);
-    FaultPlan &killRack(Tick at, RackId rack);
-    FaultPlan &restoreRack(Tick at, RackId rack);
-    FaultPlan &crashCn(Tick at, std::uint32_t cn_idx);
-    FaultPlan &restartCn(Tick at, std::uint32_t cn_idx);
+    FaultPlan &crashMn(Tick at, std::uint32_t mn_idx)
+    {
+        return add(at, FaultAction::Kind::kCrashMn, mn_idx);
+    }
+    FaultPlan &restartMn(Tick at, std::uint32_t mn_idx)
+    {
+        return add(at, FaultAction::Kind::kRestartMn, mn_idx);
+    }
+    FaultPlan &killRack(Tick at, RackId rack)
+    {
+        return add(at, FaultAction::Kind::kKillRack, rack);
+    }
+    FaultPlan &restoreRack(Tick at, RackId rack)
+    {
+        return add(at, FaultAction::Kind::kRestoreRack, rack);
+    }
+    FaultPlan &crashCn(Tick at, std::uint32_t cn_idx)
+    {
+        return add(at, FaultAction::Kind::kCrashCn, cn_idx);
+    }
+    FaultPlan &restartCn(Tick at, std::uint32_t cn_idx)
+    {
+        return add(at, FaultAction::Kind::kRestartCn, cn_idx);
+    }
     FaultPlan &packetFaults(const PacketFaultWindow &window);
     /** @} */
 
@@ -123,11 +143,8 @@ class FaultPlan
         double drop_rate = 0.0;
         double corrupt_rate = 0.0;
         double duplicate_rate = 0.0;
-        /** @{ CN crash+restart pairs (like the MN knobs above). The
-         * extra RNG draws happen strictly AFTER every draw the base
-         * schedule makes, and only when cn_crashes > 0 — plans that
-         * don't ask for them replay byte-identically to before these
-         * knobs existed. */
+        /** @{ CN crash+restart pairs (like the MN knobs above; drawn
+         * after everything above, and only when cn_crashes > 0). */
         std::vector<std::uint32_t> cn_candidates;
         std::uint32_t cn_crashes = 0;
         /** @} */
@@ -154,6 +171,17 @@ class FaultPlan
                                 const RandomOpts &opts);
 
   private:
+    FaultPlan &add(Tick at, FaultAction::Kind kind, std::uint32_t target);
+
+    /** `count` outages on distinct victims picked by a seeded shuffle
+     * of `victims`: each goes `down` at a uniform time in the first
+     * ~70% of opts.duration and comes back `up` after a uniform
+     * downtime, clamped so it lands inside the plan. */
+    void addOutages(Rng &rng, const RandomOpts &opts,
+                    std::vector<std::uint32_t> victims,
+                    std::uint32_t count, FaultAction::Kind down,
+                    FaultAction::Kind up);
+
     std::vector<FaultAction> actions_;
     std::vector<PacketFaultWindow> windows_;
 };
@@ -176,11 +204,10 @@ class FaultInjector
     void arm();
 
     const ChaosStats &stats() const { return stats_; }
-    const FaultPlan &plan() const { return plan_; }
 
   private:
     void fire(const FaultAction &action);
-    FaultVerdict onStage(const Packet &pkt, NetStage stage);
+    FaultVerdict onHop(const Packet &pkt);
 
     Cluster &cluster_;
     FaultPlan plan_;

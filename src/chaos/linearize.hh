@@ -39,6 +39,8 @@ struct HistOp
     std::uint64_t value = 0;
     /** Whether the operation completed kOk. */
     bool ok = true;
+
+    bool operator==(const HistOp &) const = default;
 };
 
 /** Verdict of a linearizability check. */

@@ -21,7 +21,7 @@ CNode::CNode(EventQueue &eq, Network &network, const ModelConfig &cfg,
       })
 {
     node_ = net_.addNode([this](Packet pkt) { onPacket(std::move(pkt)); },
-                         0, rack);
+                         rack);
 }
 
 std::size_t

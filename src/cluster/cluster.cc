@@ -79,12 +79,12 @@ Cluster::mnIndexOf(NodeId node) const
 }
 
 std::uint32_t
-Cluster::leastPressuredMn() const
+Cluster::leastPressuredMn(std::uint32_t skip) const
 {
-    std::uint32_t best = 0;
+    std::uint32_t best = skip == kNoOwner ? 0 : skip;
     double best_pressure = 2.0;
     for (std::uint32_t i = 0; i < mns_.size(); i++) {
-        if (!mns_[i]->alive())
+        if (i == skip || !mns_[i]->alive())
             continue;
         const double p = mns_[i]->memoryPressure();
         if (p < best_pressure) {
@@ -153,16 +153,8 @@ Cluster::crashMn(std::uint32_t i)
     // With the health plane on, a crash is PHYSICAL only: membership
     // reacts when the controller's lease on the board expires (real
     // detection latency), via onMnDeclaredDead().
-    if (health_)
-        return;
-    if (sharded_) {
-        // The dead MN's vnodes leave the ring; affected pids re-probe
-        // rack-first among the survivors (consistent hashing keeps
-        // every other placement untouched).
-        shard_map_.removeMn(i);
-        if (!shard_map_.empty())
-            rehomeAllPids();
-    }
+    if (!health_)
+        onMnDeclaredDead(i);
 }
 
 void
@@ -175,15 +167,8 @@ Cluster::restartMn(std::uint32_t i)
     net_.setNodeDown(board.nodeId(), false);
     // With the health plane on, membership reacts when the board's
     // beacons reach the controller again (rejoin + epoch fence).
-    if (health_)
-        return;
-    if (sharded_) {
-        // Ring points are deterministic in (mn, replica), so re-adding
-        // restores the pre-crash placement exactly and re-homed pids
-        // move home again.
-        shard_map_.addMn(i, rackOfMn(i));
-        rehomeAllPids();
-    }
+    if (!health_)
+        onMnRejoined(i);
 }
 
 void
@@ -191,6 +176,9 @@ Cluster::onMnDeclaredDead(std::uint32_t i)
 {
     if (!sharded_)
         return;
+    // The dead MN's vnodes leave the ring; affected pids re-probe
+    // rack-first among the survivors (consistent hashing keeps every
+    // other placement untouched).
     shard_map_.removeMn(i);
     if (!shard_map_.empty())
         rehomeAllPids();
@@ -201,6 +189,9 @@ Cluster::onMnRejoined(std::uint32_t i)
 {
     if (!sharded_)
         return;
+    // Ring points are deterministic in (mn, replica), so re-adding
+    // restores the pre-crash placement exactly and re-homed pids move
+    // home again.
     shard_map_.addMn(i, rackOfMn(i));
     rehomeAllPids();
 }
@@ -276,24 +267,8 @@ Cluster::createClient(std::uint32_t cn_index)
         home = rr_next_mn_;
         rr_next_mn_ = (rr_next_mn_ + 1) % mns_.size();
     }
-    auto client = std::make_unique<ClioClient>(
-        cn(cn_index), pid, mns_[home]->nodeId());
-    if (health_)
-        client->setReplicaRegistry(health_.get());
-    if (sharded_) {
-        // Every allocation of the pid lands on its directory MN (a
-        // migration rewrites routing via redirectRegion, not here).
-        client->setAllocPlacement([this, pid](std::uint64_t) {
-            return mns_[pid_home_mn_[pid]]->nodeId();
-        });
-    } else if (mns_.size() > 1) {
-        // Place new allocations on the least-pressured MN (§4.7).
-        client->setAllocPlacement([this](std::uint64_t) {
-            return mns_[leastPressuredMn()]->nodeId();
-        });
-    }
-    clients_.push_back(std::move(client));
-    return *clients_.back();
+    return addClient(std::make_unique<ClioClient>(cn(cn_index), pid,
+                                                  mns_[home]->nodeId()));
 }
 
 ClioClient &
@@ -305,14 +280,23 @@ Cluster::createSharedClient(std::uint32_t cn_index,
     auto client = std::make_unique<ClioClient>(
         cn(cn_index), base.pid(), base.mnFor(0));
     client->copyRoutingFrom(base);
+    return addClient(std::move(client));
+}
+
+ClioClient &
+Cluster::addClient(std::unique_ptr<ClioClient> client)
+{
     if (health_)
         client->setReplicaRegistry(health_.get());
     if (sharded_) {
-        const ProcId pid = base.pid();
+        // Every allocation of the pid lands on its directory MN (a
+        // migration rewrites routing via redirectRegion, not here).
+        const ProcId pid = client->pid();
         client->setAllocPlacement([this, pid](std::uint64_t) {
             return mns_[pid_home_mn_[pid]]->nodeId();
         });
     } else if (mns_.size() > 1) {
+        // Place new allocations on the least-pressured MN (§4.7).
         client->setAllocPlacement([this](std::uint64_t) {
             return mns_[leastPressuredMn()]->nodeId();
         });
@@ -382,18 +366,12 @@ Cluster::grantWindows(ProcId pid, std::uint32_t mn_idx,
     const VirtAddr start = next * region;
     next += count;
     mns_[mn_idx]->vaAllocator().addWindow(pid, start, count * region);
-    if (sharded_) {
-        // O(1) controller state per process: the directory predicts
-        // the owner; only off-home grants (replication targets,
-        // offload RASes) need explicit entries.
-        const std::uint32_t home = pid < pid_home_mn_.size()
-                                       ? pid_home_mn_[pid]
-                                       : kNoOwner;
-        if (mn_idx != home) {
-            for (std::uint64_t j = 0; j < count; j++)
-                region_owner_[{pid, start + j * region}] = mn_idx;
-        }
-    } else {
+    // Sharded mode keeps O(1) controller state per process: the
+    // directory predicts the home MN as owner, so only off-home grants
+    // (replication targets, offload RASes) need explicit entries.
+    const bool predicted = sharded_ && pid < pid_home_mn_.size() &&
+                           pid_home_mn_[pid] == mn_idx;
+    if (!predicted) {
         for (std::uint64_t j = 0; j < count; j++)
             region_owner_[{pid, start + j * region}] = mn_idx;
     }
@@ -424,18 +402,7 @@ Cluster::migrateRegion(ProcId pid, std::uint32_t src_mn,
     if (regionOwnerIdx(pid, region_start) != src_mn)
         return report;
 
-    // Choose the least pressured destination other than the source.
-    std::uint32_t dst_mn = src_mn;
-    double best = 2.0;
-    for (std::uint32_t i = 0; i < mns_.size(); i++) {
-        if (i == src_mn || !mns_[i]->alive())
-            continue;
-        const double p = mns_[i]->memoryPressure();
-        if (p < best) {
-            best = p;
-            dst_mn = i;
-        }
-    }
+    const std::uint32_t dst_mn = leastPressuredMn(src_mn);
     if (dst_mn == src_mn)
         return report;
 

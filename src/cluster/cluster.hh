@@ -167,7 +167,6 @@ class Cluster
      * fails its outstanding requests, drops off the fabric, and stops
      * heartbeating; with the health plane on, its lease expiry
      * triggers lock + process GC on the MNs. */
-    bool cnAlive(std::uint32_t i) const { return cns_.at(i)->alive(); }
     void crashCn(std::uint32_t i);
     void restartCn(std::uint32_t i);
     /** @} */
@@ -179,7 +178,6 @@ class Cluster
      * Heartbeats self-reschedule forever, so drive health-enabled
      * simulations with runUntilTime(), not run(). */
     HealthPlane *health() { return health_.get(); }
-    bool healthEnabled() const { return health_ != nullptr; }
     /** Controller placement reaction to a detector-declared MN death /
      * rejoin (called by the health plane). */
     void onMnDeclaredDead(std::uint32_t i);
@@ -192,8 +190,9 @@ class Cluster
     bool grantWindows(ProcId pid, std::uint32_t mn_idx,
                       std::uint64_t min_bytes);
 
-    /** Least-pressured LIVE MN index. */
-    std::uint32_t leastPressuredMn() const;
+    /** Least-pressured LIVE MN index other than `skip`; when there is
+     * none, `skip` itself (0 when skipping nothing). */
+    std::uint32_t leastPressuredMn(std::uint32_t skip = kNoOwner) const;
 
     /** Move `pid`'s directory home to `new_home`, materializing the
      * directory's owner predictions for already-granted regions into
@@ -206,6 +205,10 @@ class Cluster
 
     /** Wire up an MN's windowed-mode hooks (both constructors). */
     void attachMnHooks(std::uint32_t mn_idx, bool windowed);
+
+    /** Give a new client the replica registry and the allocation
+     * placement hook, then keep it (both client factories). */
+    ClioClient &addClient(std::unique_ptr<ClioClient> client);
 
     /** Per-pid next free coarse-region index slot (see next_region_). */
     std::uint64_t &nextRegionSlot(ProcId pid);

@@ -156,14 +156,6 @@ FailureDetector::stateOf(NodeId node) const
     return e->state;
 }
 
-Tick
-FailureDetector::lastBeacon(NodeId node) const
-{
-    const Entry *e = find(node);
-    clio_assert(e != nullptr, "node %u is not tracked", node);
-    return e->last_beacon;
-}
-
 // ---------------------------------------------------------------------
 // HealthPlane
 // ---------------------------------------------------------------------

@@ -123,7 +123,6 @@ class FailureDetector
     Tick nextDeadline() const;
 
     NodeHealth stateOf(NodeId node) const;
-    Tick lastBeacon(NodeId node) const;
     std::size_t tracked() const { return entries_.size(); }
 
   private:

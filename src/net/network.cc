@@ -8,45 +8,31 @@ namespace clio {
 
 Network::Network(EventQueue &eq, const NetConfig &cfg, std::uint64_t seed)
     : eq_(eq), cfg_(cfg), rng_(seed),
-      agg_ticks_per_byte_(ticksPerByte(cfg.agg_bandwidth_bps))
+      tor_port_{cfg.switch_queue_packets,
+                ticksPerByte(cfg.link_bandwidth_bps), cfg.switch_latency,
+                cfg.link_propagation, &NetStats::dropped_queue},
+      rack_uplink_{cfg.agg_queue_packets,
+                   ticksPerByte(cfg.agg_bandwidth_bps), cfg.switch_latency,
+                   cfg.agg_link_propagation, &NetStats::dropped_agg_queue},
+      spine_downlink_{cfg.agg_queue_packets,
+                      ticksPerByte(cfg.agg_bandwidth_bps),
+                      cfg.spine_latency, cfg.agg_link_propagation,
+                      &NetStats::dropped_agg_queue}
 {
 }
 
 NodeId
-Network::addNode(RxHandler rx, std::uint64_t link_bandwidth_bps,
-                 RackId rack)
+Network::addNode(RxHandler rx, RackId rack)
 {
     clio_assert(rack < 4096, "implausible rack id %u", rack);
     const NodeId id = static_cast<NodeId>(ports_.size());
     Port port;
     port.rx = std::move(rx);
-    port.bandwidth_bps = link_bandwidth_bps ? link_bandwidth_bps
-                                            : cfg_.link_bandwidth_bps;
-    port.ticks_per_byte = ticksPerByte(port.bandwidth_bps);
     port.rack = rack;
     ports_.push_back(std::move(port));
     if (rack >= racks_.size())
         racks_.resize(rack + 1);
     return id;
-}
-
-void
-Network::lazyDrain(Stage &stage, Tick now)
-{
-    while (!stage.drain.empty() && stage.drain.front() <= now)
-        stage.drain.pop_front();
-}
-
-Tick
-Network::admitTime(const Stage &stage, std::uint32_t cap, Tick now)
-{
-    const std::size_t depth = stage.drain.size();
-    if (depth < cap)
-        return now;
-    // With `depth` packets committed and room for `cap`, this packet
-    // may occupy the queue once the (depth - cap + 1)-th departure has
-    // happened — i.e. at drain[depth - cap] (0-indexed, FIFO order).
-    return std::max(now, stage.drain[depth - cap]);
 }
 
 void
@@ -56,25 +42,11 @@ Network::setNodeDown(NodeId node, bool down)
     ports_[node].down = down;
 }
 
-bool
-Network::nodeDown(NodeId node) const
-{
-    clio_assert(node < ports_.size(), "unknown node");
-    return ports_[node].down;
-}
-
 void
 Network::setRackDown(RackId rack, bool down)
 {
-    if (rack >= racks_.size())
-        racks_.resize(rack + 1);
-    racks_[rack].tor_down = down;
-}
-
-bool
-Network::rackDown(RackId rack) const
-{
-    return rack < racks_.size() && racks_[rack].tor_down;
+    if (rack < racks_.size())
+        racks_[rack].tor_down = down;
 }
 
 void
@@ -114,51 +86,55 @@ Network::send(Packet pkt)
         return;
     }
     const Tick now = eq_.now();
-    const bool cross_rack = src.rack != dst.rack;
-    Rack *src_rack = cross_rack ? &racks_[src.rack] : nullptr;
-    Rack *dst_rack = cross_rack ? &racks_[dst.rack] : nullptr;
 
-    // Refresh the occupancy of every stage on the packet's path:
-    // departures that already happened free their queue slots.
-    lazyDrain(dst.out, now);
+    // The packet's switch path: a cross-rack packet leaves its rack on
+    // the uplink and enters the destination rack on the spine's
+    // downlink; every packet ends at the destination ToR's port.
+    struct Hop
+    {
+        Stage *stage;
+        const Link *link;
+    };
+    Hop path[3];
+    std::size_t hops = 0;
+    const bool cross_rack = src.rack != dst.rack;
     if (cross_rack) {
-        lazyDrain(src_rack->up, now);
-        lazyDrain(dst_rack->down, now);
+        path[hops++] = {&racks_[src.rack].up, &rack_uplink_};
+        path[hops++] = {&racks_[dst.rack].down, &spine_downlink_};
     }
+    path[hops++] = {&dst.out, &tor_port_};
 
     // Control-plane lane: priority packets never wait for, occupy, or
     // advance any data queue (strict-priority preemption; their own
     // serialization still elapses). Everything else — loss, corruption,
-    // jitter, reordering, the fault hook — applies identically, and
-    // non-priority packets execute the exact same code as before.
+    // jitter, reordering, the fault hook — applies identically.
     const bool prio = pkt.priority;
     if (prio)
         stats_.priority_bypass++;
 
-    // --- Lossless (PFC-like) back-pressure: if any output queue on
-    // the path is full, the packet is held at the source NIC until a
-    // slot will have freed — tx_start is delayed, queues stay bounded.
+    // Departures that already happened free their queue slots. Lossless
+    // (PFC-like) back-pressure: if any queue on the path is full, the
+    // packet is held at the source NIC until a slot will have freed —
+    // tx_start is delayed, queues stay bounded.
     Tick hold = now;
-    if (cfg_.lossless && !prio) {
-        hold = std::max(
-            hold, admitTime(dst.out, cfg_.switch_queue_packets, now));
-        if (cross_rack) {
-            hold = std::max(
-                hold,
-                admitTime(src_rack->up, cfg_.agg_queue_packets, now));
-            hold = std::max(
-                hold,
-                admitTime(dst_rack->down, cfg_.agg_queue_packets, now));
-        }
-        if (hold > now) {
-            stats_.pfc_stalls++;
-            stats_.pfc_stall_ticks += hold - now;
-        }
+    for (std::size_t i = 0; i < hops; i++) {
+        std::deque<Tick> &drain = path[i].stage->drain;
+        while (!drain.empty() && drain.front() <= now)
+            drain.pop_front();
+        // With `depth` packets committed and room for `cap`, this one
+        // may occupy the queue once drain[depth - cap] has departed.
+        const std::uint32_t cap = path[i].link->queue_cap;
+        if (cfg_.lossless && !prio && drain.size() >= cap)
+            hold = std::max(hold, drain[drain.size() - cap]);
+    }
+    if (hold > now) {
+        stats_.pfc_stalls++;
+        stats_.pfc_stall_ticks += hold - now;
     }
 
     // --- Source NIC egress: serialize onto the host link. ---
     const Tick ser =
-        static_cast<Tick>(pkt.wire_bytes) * src.ticks_per_byte;
+        static_cast<Tick>(pkt.wire_bytes) * tor_port_.ticks_per_byte;
     const Tick tx_start = prio ? now : std::max(hold, src.tx_free);
     const Tick tx_done = tx_start + ser;
     if (!prio)
@@ -173,118 +149,68 @@ Network::send(Packet pkt)
         pkt.corrupted = true;
         stats_.corrupted++;
     }
-
-    // --- Injected faults (chaos hook), evaluated per traversed stage
-    // in path order. Without a hook this path makes no RNG draws.
-    bool fault_duplicate = false;
-    Tick fault_delay = 0;
-    const auto stageFault = [&](NetStage stage) -> bool {
-        if (!fault_hook_)
-            return false;
-        const FaultVerdict v = fault_hook_(pkt, stage);
-        if (v.drop) {
-            stats_.dropped_fault++;
-            return true;
-        }
-        if (v.corrupt && !pkt.corrupted) {
-            pkt.corrupted = true;
-            stats_.corrupted++;
-        }
-        if (v.duplicate)
-            fault_duplicate = true;
-        fault_delay += v.extra_delay;
-        return false;
-    };
-
-    // --- Aggregation hops (only when src and dst racks differ). ---
-    // source ToR -> uplink serialization -> spine -> downlink
-    // serialization -> destination ToR. Queue occupancy at each hop
-    // lasts until that hop's departure (out_done), drained lazily.
-    Tick at_dst_tor = tx_done + cfg_.link_propagation;
-    if (cross_rack) {
+    if (cross_rack)
         stats_.cross_rack++;
-        const Tick agg_ser =
-            static_cast<Tick>(pkt.wire_bytes) * agg_ticks_per_byte_;
 
-        // Uplink of the source rack toward the spine.
-        if (stageFault(NetStage::kAggUp))
-            return;
+    // --- Walk the path. Per hop: the fault hook (no RNG draws without
+    // one), tail drop (lossy mode; lossless mode already held the
+    // packet until the queue has room), serialization onto the hop's
+    // output link, queue occupancy until the last byte leaves
+    // (`done`, drained lazily), then propagation to the next hop.
+    bool duplicate = false;
+    Tick arrive = 0;                             // at this hop's queue
+    Tick next = tx_done + cfg_.link_propagation; // at the next hop
+    for (std::size_t i = 0; i < hops; i++) {
+        Stage &stage = *path[i].stage;
+        const Link &link = *path[i].link;
+        arrive = next;
+        if (fault_hook_) {
+            const FaultVerdict v = fault_hook_(pkt);
+            if (v.drop) {
+                stats_.dropped_fault++;
+                return;
+            }
+            if (v.corrupt && !pkt.corrupted) {
+                pkt.corrupted = true;
+                stats_.corrupted++;
+            }
+            if (v.duplicate)
+                duplicate = true;
+        }
         if (!cfg_.lossless && !prio &&
-            src_rack->up.drain.size() >= cfg_.agg_queue_packets) {
-            stats_.dropped_agg_queue++;
+            stage.drain.size() >= link.queue_cap) {
+            (stats_.*link.tail_drops)++;
             return;
         }
-        const Tick up_start =
-            prio ? at_dst_tor : std::max(at_dst_tor, src_rack->up.free);
-        const Tick up_done = up_start + agg_ser + cfg_.switch_latency;
+        const Tick link_ser =
+            static_cast<Tick>(pkt.wire_bytes) * link.ticks_per_byte;
+        const Tick start = prio ? arrive : std::max(arrive, stage.free);
+        const Tick done = start + link_ser + link.forward_latency;
         if (!prio) {
-            src_rack->up.free = up_start + agg_ser;
-            src_rack->up.drain.push_back(up_done);
+            stage.free = start + link_ser;
+            stage.drain.push_back(done);
         }
-
-        // Spine output toward the destination rack (its downlink).
-        const Tick at_spine = up_done + cfg_.agg_link_propagation;
-        if (stageFault(NetStage::kAggDown))
-            return;
-        if (!cfg_.lossless && !prio &&
-            dst_rack->down.drain.size() >= cfg_.agg_queue_packets) {
-            stats_.dropped_agg_queue++;
-            return;
-        }
-        const Tick down_start =
-            prio ? at_spine : std::max(at_spine, dst_rack->down.free);
-        const Tick down_done =
-            down_start + agg_ser + cfg_.spine_latency;
-        if (!prio) {
-            dst_rack->down.free = down_start + agg_ser;
-            dst_rack->down.drain.push_back(down_done);
-        }
-
-        at_dst_tor = down_done + cfg_.agg_link_propagation;
+        next = done + link.propagation;
     }
 
-    // --- Destination ToR output port toward the destination node. ---
-    if (stageFault(NetStage::kTor))
-        return;
-    const Tick out_ser =
-        static_cast<Tick>(pkt.wire_bytes) * dst.ticks_per_byte;
-    const Tick out_start =
-        prio ? at_dst_tor : std::max(at_dst_tor, dst.out.free);
-
-    // Queue occupancy check (incast tail-drop; lossless mode already
-    // delayed tx_start above so the queue is guaranteed to have room).
-    if (!cfg_.lossless && !prio &&
-        dst.out.drain.size() >= cfg_.switch_queue_packets) {
-        stats_.dropped_queue++;
-        return;
-    }
-    const Tick out_done = out_start + out_ser + cfg_.switch_latency;
     if (!prio) {
-        // The forwarding latency is pipelined: it delays the packet but
-        // does not occupy the output port.
-        dst.out.free = out_start + out_ser;
-        // The packet occupies the output queue until its last byte
-        // leaves the port (out_done) — NOT until delivery, which
-        // additionally includes the final link propagation plus
-        // jitter/reorder delay.
-        dst.out.drain.push_back(out_done);
-        // Physical occupancy when this packet's bytes reach the queue:
-        // committed packets still present at `at_dst_tor` (drain is
-        // sorted, FIFO). Bounded by the queue capacity in BOTH modes —
-        // in lossless mode because the admission delay above
-        // guarantees enough predecessors have departed by the time the
-        // packet arrives.
+        // Physical ToR queue occupancy when this packet's bytes reached
+        // it (`arrive` of the last hop): committed packets still
+        // present then (drain is sorted, FIFO). Bounded by the queue
+        // capacity in BOTH modes — in lossless mode because the
+        // admission delay above guarantees enough predecessors have
+        // departed by the time the packet arrives.
         const auto still_queued =
             dst.out.drain.end() -
             std::upper_bound(dst.out.drain.begin(), dst.out.drain.end(),
-                             at_dst_tor);
+                             arrive);
         stats_.peak_queue_depth =
             std::max(stats_.peak_queue_depth,
                      static_cast<std::uint32_t>(still_queued));
     }
 
-    // --- Final hop to the destination NIC. ---
-    Tick deliver = out_done + cfg_.link_propagation + fault_delay;
+    // --- Arrival at the destination NIC. ---
+    Tick deliver = next;
     if (cfg_.switch_jitter_mean > 0) {
         deliver += static_cast<Tick>(rng_.exponential(
             static_cast<double>(cfg_.switch_jitter_mean)));
@@ -294,7 +220,7 @@ Network::send(Packet pkt)
         stats_.reordered++;
     }
 
-    if (fault_duplicate) {
+    if (duplicate) {
         // A switch duplicated the packet: the copy trails the original
         // by the reorder delay (the protocol must absorb it, T1/T4).
         stats_.duplicated++;

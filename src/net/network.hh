@@ -90,22 +90,13 @@ struct NetStats
     std::uint64_t priority_bypass = 0;
 };
 
-/** Switch stage a packet is traversing when the fault hook fires. */
-enum class NetStage : std::uint8_t {
-    kTor,    ///< destination ToR output port (every packet)
-    kAggUp,  ///< source rack's uplink toward the spine (cross-rack)
-    kAggDown ///< destination rack's downlink from the spine (cross-rack)
-};
-
-/** What the fault hook decided for one packet at one stage. */
+/** What the fault hook decided for one packet at one hop. */
 struct FaultVerdict
 {
     bool drop = false;
     bool corrupt = false;
     /** Deliver a second copy of the packet (after reorder_delay). */
     bool duplicate = false;
-    /** Extra delivery delay added by this stage. */
-    Tick extra_delay = 0;
 };
 
 /** The leaf/spine-switched network connecting every node of a cluster. */
@@ -115,24 +106,24 @@ class Network
     using RxHandler = std::function<void(Packet)>;
 
     /**
-     * Deterministic fault-injection hook, consulted once per switch
-     * stage a packet traverses (kTor always; kAggUp/kAggDown only for
-     * cross-rack packets, in path order). When no hook is installed
-     * the send path performs exactly the same RNG draws as before, so
-     * installing chaos never perturbs fault-free seeds.
+     * Deterministic fault-injection hook, consulted once per hop a
+     * packet traverses, in path order: the rack uplink and the spine
+     * downlink (cross-rack packets only), then the destination ToR
+     * port. When no hook is installed the send path performs exactly
+     * the same RNG draws as before, so installing chaos never perturbs
+     * fault-free seeds.
      */
-    using FaultHook = std::function<FaultVerdict(const Packet &, NetStage)>;
+    using FaultHook = std::function<FaultVerdict(const Packet &)>;
 
     Network(EventQueue &eq, const NetConfig &cfg, std::uint64_t seed);
 
     /**
-     * Attach a node; returns its NodeId.
+     * Attach a node; returns its NodeId. Its host link runs at
+     * NetConfig::link_bandwidth_bps, like every host link.
      * @param rx   ingress handler invoked at delivery time.
-     * @param link_bandwidth_bps 0 = use the config default.
      * @param rack rack (leaf switch) the node's link terminates at.
      */
-    NodeId addNode(RxHandler rx, std::uint64_t link_bandwidth_bps = 0,
-                   RackId rack = 0);
+    NodeId addNode(RxHandler rx, RackId rack = 0);
 
     /**
      * Transmit a packet from pkt.src to pkt.dst. Serialization starts
@@ -156,23 +147,14 @@ class Network
 
     /** @{ Failure domains. A down node (dead NIC/board port) or a down
      * rack (dead ToR) drops every packet to or from it — both packets
-     * submitted later and packets already in flight at delivery time. */
+     * submitted later and packets already in flight at delivery time.
+     * Marking a rack no node was added to is a no-op. */
     void setNodeDown(NodeId node, bool down);
-    bool nodeDown(NodeId node) const;
     void setRackDown(RackId rack, bool down);
-    bool rackDown(RackId rack) const;
     /** @} */
 
-    /** Install / clear the fault-injection hook. */
+    /** Install the fault-injection hook (nullptr clears it). */
     void setFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
-    void clearFaultHook() { fault_hook_ = nullptr; }
-
-    /** Number of racks seen so far (max rack id + 1; >= 1). */
-    std::uint32_t rackCount() const
-    {
-        return static_cast<std::uint32_t>(racks_.size() ? racks_.size()
-                                                        : 1);
-    }
 
     const NetStats &stats() const { return stats_; }
     void resetStats() { stats_ = NetStats{}; }
@@ -196,13 +178,21 @@ class Network
         std::deque<Tick> drain;
     };
 
+    /** The constants of one kind of hop, built once from the config.
+     * The switch's forwarding latency is pipelined: it delays the
+     * packet but does not occupy the output link. */
+    struct Link
+    {
+        std::uint32_t queue_cap; ///< output queue capacity, packets
+        Tick ticks_per_byte;     ///< output link serialization cost
+        Tick forward_latency;    ///< switch feeding the output link
+        Tick propagation;        ///< to the next switch or the NIC
+        std::uint64_t NetStats::*tail_drops; ///< this queue's drop count
+    };
+
     struct Port
     {
         RxHandler rx;
-        std::uint64_t bandwidth_bps;
-        /** ticksPerByte(bandwidth_bps), precomputed: serialization is
-         * two multiplies per packet instead of two 64-bit divisions. */
-        Tick ticks_per_byte;
         /** When the node's egress link becomes idle. */
         Tick tx_free = 0;
         RackId rack = 0;
@@ -221,13 +211,6 @@ class Network
         bool tor_down = false;
     };
 
-    /** Pop departures that already happened (occupancy bookkeeping). */
-    static void lazyDrain(Stage &stage, Tick now);
-    /** Earliest time `stage` (capacity `cap`) has room for one more
-     * committed packet; `now` when it already has room. */
-    static Tick admitTime(const Stage &stage, std::uint32_t cap,
-                          Tick now);
-
     /** Schedule one delivery of `pkt` at `deliver` (down-state is
      * re-checked when the event fires, so packets in flight when a
      * node or rack dies are lost, like on real hardware). */
@@ -236,7 +219,12 @@ class Network
     EventQueue &eq_;
     NetConfig cfg_;
     Rng rng_;
-    Tick agg_ticks_per_byte_;
+    /** @{ Hop kinds: destination ToR port (whose rate is every host
+     * link's), source rack uplink, spine downlink. */
+    Link tor_port_;
+    Link rack_uplink_;
+    Link spine_downlink_;
+    /** @} */
     std::vector<Port> ports_;
     std::vector<Rack> racks_;
     FaultHook fault_hook_;

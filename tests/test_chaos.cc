@@ -100,6 +100,53 @@ TEST(Linearize, FailedWriteIsAmbiguous)
 }
 
 // ---------------------------------------------------------------------
+// Randomized plan derivation
+// ---------------------------------------------------------------------
+
+// One seed, all three outage kinds plus a heartbeat-loss window: every
+// chaos schedule replays only while randomized() keeps each RNG draw
+// where it is.
+TEST(FaultPlan, RandomizedScheduleIsPinnedPerSeed)
+{
+    FaultPlan::RandomOpts opts;
+    opts.duration = 2 * kMillisecond;
+    opts.candidates = {0, 1, 2, 3};
+    opts.crashes = 2;
+    opts.min_downtime = 100 * kMicrosecond;
+    opts.max_downtime = 300 * kMicrosecond;
+    opts.drop_rate = 0.01;
+    opts.cn_candidates = {1, 2, 3};
+    opts.cn_crashes = 1;
+    opts.rack_candidates = {1, 2};
+    opts.rack_kills = 1;
+    opts.hb_loss_rate = 1.0;
+    opts.hb_loss_duration = 100 * kMicrosecond;
+    const FaultPlan plan = FaultPlan::randomized(42, opts);
+
+    using K = FaultAction::Kind;
+    const std::vector<FaultAction> want = {
+        {801212470, K::kCrashMn, 0},   {967520119, K::kRestartMn, 0},
+        {1352643086, K::kCrashMn, 2},  {1650271509, K::kRestartMn, 2},
+        {970137123, K::kCrashCn, 1},   {1107964189, K::kRestartCn, 1},
+        {1074116342, K::kKillRack, 1}, {1217843769, K::kRestoreRack, 1},
+    };
+    EXPECT_EQ(plan.actions(), want);
+    ASSERT_EQ(plan.windows().size(), 2u);
+    EXPECT_TRUE(plan.windows()[1].heartbeats_only);
+    EXPECT_EQ(plan.windows()[1].start, 866386497u);
+    EXPECT_EQ(plan.windows()[1].end, 966386497u);
+
+    // No MN crash asked for: the MN candidates are still shuffled, so
+    // the CN and rack draws stay where they were.
+    opts.crashes = 0;
+    const std::vector<FaultAction> want_no_mn = {
+        {1352643086, K::kCrashCn, 1}, {1650271509, K::kRestartCn, 1},
+        {695607547, K::kKillRack, 1}, {828543343, K::kRestoreRack, 1},
+    };
+    EXPECT_EQ(FaultPlan::randomized(42, opts).actions(), want_no_mn);
+}
+
+// ---------------------------------------------------------------------
 // Dead-MN timeout surfacing (regression for the no-hang guarantee)
 // ---------------------------------------------------------------------
 
@@ -225,6 +272,42 @@ TEST(Chaos, RackKillDropsAndRecovers)
 // Randomized crash/recovery schedule, checked for linearizability
 // ---------------------------------------------------------------------
 
+/** Keys of the replicated register the chaos runs drive. */
+constexpr std::uint64_t kKeys = 8;
+
+/** Read `key` back through `region`, recording the op in `history`. */
+void
+readKey(ReplicatedRegion &region, EventQueue &eq, std::uint64_t key,
+        std::vector<HistOp> &history)
+{
+    const Tick invoked = eq.now();
+    std::uint64_t out = 0;
+    const Status st = region.read(key * 8, &out, 8);
+    history.push_back(
+        {key, invoked, eq.now(), false, out, st == Status::kOk});
+}
+
+/** `ops` register ops drawn from `rng`: every key is written first,
+ * then writes and reads mix 60/40. */
+void
+runRegisterOps(ReplicatedRegion &region, EventQueue &eq, Rng &rng,
+               std::uint64_t ops, std::vector<HistOp> &history)
+{
+    std::uint64_t wseq = 1;
+    for (std::uint64_t i = 0; i < ops; i++) {
+        const std::uint64_t key = i < kKeys ? i : rng.uniformInt(kKeys);
+        if (i >= kKeys && !rng.chance(0.6)) {
+            readKey(region, eq, key, history);
+            continue;
+        }
+        const Tick invoked = eq.now();
+        const std::uint64_t value = ((key + 1) << 20) + wseq++;
+        const Status st = region.write(key * 8, &value, 8);
+        history.push_back(
+            {key, invoked, eq.now(), true, value, st == Status::kOk});
+    }
+}
+
 struct ChaosRun
 {
     std::vector<HistOp> history;
@@ -236,6 +319,8 @@ struct ChaosRun
     std::uint64_t cn_timeouts = 0;
     std::uint64_t resyncs = 0;
     Tick end_time = 0;
+
+    bool operator==(const ChaosRun &) const = default;
 };
 
 /** One full chaotic run: 3 racks, a replicated register under a
@@ -279,25 +364,7 @@ runChaosSchedule(std::uint64_t seed, EventQueueImpl impl)
     EventQueue &eq = cluster.eventQueue();
     Rng workload(seed + 2);
     ChaosRun run;
-    constexpr std::uint64_t kKeys = 8;
-    std::uint64_t wseq = 1;
-    for (std::uint64_t i = 0; i < 120; i++) {
-        const std::uint64_t key =
-            i < kKeys ? i : workload.uniformInt(kKeys);
-        const Tick invoked = eq.now();
-        // Seed every key with a write first, then mix 60/40.
-        if (i < kKeys || workload.chance(0.6)) {
-            const std::uint64_t value = ((key + 1) << 20) + wseq++;
-            const Status st = region.write(key * 8, &value, 8);
-            run.history.push_back(
-                {key, invoked, eq.now(), true, value, st == Status::kOk});
-        } else {
-            std::uint64_t out = 0;
-            const Status st = region.read(key * 8, &out, 8);
-            run.history.push_back(
-                {key, invoked, eq.now(), false, out, st == Status::kOk});
-        }
-    }
+    runRegisterOps(region, eq, workload, 120, run.history);
 
     // Run past the plan horizon so the restart definitely happened,
     // then re-replicate onto the restarted board and read everything
@@ -311,13 +378,8 @@ runChaosSchedule(std::uint64_t seed, EventQueueImpl impl)
         EXPECT_EQ(region.heal(cluster.mn(dead_idx).nodeId()),
                   Status::kOk);
     }
-    for (std::uint64_t key = 0; key < kKeys; key++) {
-        const Tick invoked = eq.now();
-        std::uint64_t out = 0;
-        const Status st = region.read(key * 8, &out, 8);
-        run.history.push_back(
-            {key, invoked, eq.now(), false, out, st == Status::kOk});
-    }
+    for (std::uint64_t key = 0; key < kKeys; key++)
+        readKey(region, eq, key, run.history);
 
     run.chaos = injector.stats();
     run.net_drops = cluster.network().stats().dropped_fault;
@@ -358,51 +420,27 @@ TEST(Chaos, RandomizedCrashRecoveryLinearizable)
 TEST(Chaos, ChaosScheduleByteIdentical)
 {
     const std::uint64_t seed = ModelConfig::prototype().seed;
-    const auto equal = [](const ChaosRun &a, const ChaosRun &b) {
-        if (a.history.size() != b.history.size())
-            return false;
-        for (std::size_t i = 0; i < a.history.size(); i++) {
-            const HistOp &x = a.history[i];
-            const HistOp &y = b.history[i];
-            if (x.key != y.key || x.invoked != y.invoked ||
-                x.completed != y.completed ||
-                x.is_write != y.is_write || x.value != y.value ||
-                x.ok != y.ok)
-                return false;
-        }
-        return a.chaos.crashes == b.chaos.crashes &&
-               a.chaos.restarts == b.chaos.restarts &&
-               a.chaos.drops == b.chaos.drops &&
-               a.chaos.corrupts == b.chaos.corrupts &&
-               a.chaos.duplicates == b.chaos.duplicates &&
-               a.net_drops == b.net_drops &&
-               a.net_corrupts == b.net_corrupts &&
-               a.net_duplicates == b.net_duplicates &&
-               a.cn_retries == b.cn_retries &&
-               a.cn_timeouts == b.cn_timeouts &&
-               a.resyncs == b.resyncs && a.end_time == b.end_time;
-    };
 
     // Same seed, same engine: identical replay.
     const ChaosRun w1 =
         runChaosSchedule(seed, EventQueueImpl::kTimingWheel);
     const ChaosRun w2 =
         runChaosSchedule(seed, EventQueueImpl::kTimingWheel);
-    EXPECT_TRUE(equal(w1, w2))
+    EXPECT_TRUE(w1 == w2)
         << "same chaotic schedule diverged across two runs";
 
     // Same seed, other engine: the wheel and the heap order events
     // identically even under chaos.
     const ChaosRun h1 =
         runChaosSchedule(seed, EventQueueImpl::kBinaryHeap);
-    EXPECT_TRUE(equal(w1, h1))
+    EXPECT_TRUE(w1 == h1)
         << "wheel and heap diverged under the same chaotic schedule";
 
     // And a different seed explores a different schedule (sanity that
     // the seed actually drives the chaos).
     const ChaosRun other =
         runChaosSchedule(seed + 1, EventQueueImpl::kTimingWheel);
-    EXPECT_FALSE(equal(w1, other));
+    EXPECT_FALSE(w1 == other);
 }
 
 // ---------------------------------------------------------------------
@@ -428,32 +466,7 @@ struct SelfHealRun
     std::vector<std::tuple<std::uint8_t, Tick, NodeId, std::uint64_t>>
         events;
 
-    bool operator==(const SelfHealRun &o) const
-    {
-        if (history.size() != o.history.size())
-            return false;
-        for (std::size_t i = 0; i < history.size(); i++) {
-            const HistOp &x = history[i];
-            const HistOp &y = o.history[i];
-            if (x.key != y.key || x.invoked != y.invoked ||
-                x.completed != y.completed || x.is_write != y.is_write ||
-                x.value != y.value || x.ok != y.ok)
-                return false;
-        }
-        return chaos.crashes == o.chaos.crashes &&
-               chaos.cn_crashes == o.chaos.cn_crashes &&
-               chaos.rack_kills == o.chaos.rack_kills &&
-               chaos.drops == o.chaos.drops &&
-               chaos.corrupts == o.chaos.corrupts &&
-               chaos.duplicates == o.chaos.duplicates &&
-               epoch == o.epoch && beacons == o.beacons &&
-               suspects == o.suspects && deaths == o.deaths &&
-               rejoins == o.rejoins &&
-               resyncs_completed == o.resyncs_completed &&
-               region_resyncs == o.region_resyncs &&
-               fully_redundant == o.fully_redundant &&
-               end_time == o.end_time && events == o.events;
-    }
+    bool operator==(const SelfHealRun &) const = default;
 };
 
 /**
@@ -527,24 +540,7 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
     EventQueue &eq = cluster.eventQueue();
     Rng workload(seed + 2);
     SelfHealRun run;
-    constexpr std::uint64_t kKeys = 8;
-    std::uint64_t wseq = 1;
-    for (std::uint64_t i = 0; i < 150; i++) {
-        const std::uint64_t key =
-            i < kKeys ? i : workload.uniformInt(kKeys);
-        const Tick invoked = eq.now();
-        if (i < kKeys || workload.chance(0.6)) {
-            const std::uint64_t value = ((key + 1) << 20) + wseq++;
-            const Status st = region.write(key * 8, &value, 8);
-            run.history.push_back(
-                {key, invoked, eq.now(), true, value, st == Status::kOk});
-        } else {
-            std::uint64_t out = 0;
-            const Status st = region.read(key * 8, &out, 8);
-            run.history.push_back(
-                {key, invoked, eq.now(), false, out, st == Status::kOk});
-        }
-    }
+    runRegisterOps(region, eq, workload, 150, run.history);
 
     // Settle well past the horizon: detection (<= dead_after + a few
     // beacons), the chunked copy (~2 ms for 1 MiB), and any deferred
@@ -555,13 +551,8 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
     // NO heal() call anywhere in this run: redundancy is restored by
     // the controller alone. Reads must see every acked write through
     // whatever replica set the plane converged on.
-    for (std::uint64_t key = 0; key < kKeys; key++) {
-        const Tick invoked = eq.now();
-        std::uint64_t out = 0;
-        const Status st = region.read(key * 8, &out, 8);
-        run.history.push_back(
-            {key, invoked, eq.now(), false, out, st == Status::kOk});
-    }
+    for (std::uint64_t key = 0; key < kKeys; key++)
+        readKey(region, eq, key, run.history);
 
     run.chaos = injector.stats();
     run.epoch = hp->epoch();

@@ -365,15 +365,7 @@ struct HealthRunSig
     std::vector<std::tuple<std::uint8_t, Tick, NodeId, std::uint64_t>>
         events;
 
-    bool operator==(const HealthRunSig &o) const
-    {
-        return epoch == o.epoch && beacons == o.beacons &&
-               deaths == o.deaths && rejoins == o.rejoins &&
-               resyncs_completed == o.resyncs_completed &&
-               region_resyncs == o.region_resyncs &&
-               fully_redundant == o.fully_redundant &&
-               events == o.events;
-    }
+    bool operator==(const HealthRunSig &) const = default;
 };
 
 HealthRunSig runHealthScenario(EventQueueImpl impl)

@@ -42,9 +42,9 @@ TEST(MultiRack, CrossRackCostsTheAggregationHops)
     EventQueue eq;
     auto cfg = quietNet();
     Network net(eq, cfg, 1);
-    NodeId src = net.addNode(nullptr, 0, 0);
-    NodeId same = net.addNode([](Packet) {}, 0, 0);
-    NodeId other = net.addNode([](Packet) {}, 0, 1);
+    NodeId src = net.addNode(nullptr, 0);
+    NodeId same = net.addNode([](Packet) {}, 0);
+    NodeId other = net.addNode([](Packet) {}, 1);
 
     Tick intra_at = 0, cross_at = 0;
     net.send(makePacket(src, same, 1000, 1));
@@ -81,10 +81,10 @@ TEST(MultiRack, AggregationLinkSerializesCrossRackBursts)
         auto cfg = quietNet();
         cfg.agg_bandwidth_bps = cfg.link_bandwidth_bps;
         Network net(eq, cfg, 1);
-        NodeId a = net.addNode(nullptr, 0, 0);
-        NodeId b = net.addNode(nullptr, 0, 0);
-        net.addNode([](Packet) {}, 0, 0); // keep ids comparable
-        NodeId dst = net.addNode([](Packet) {}, 0, cross ? 1 : 0);
+        NodeId a = net.addNode(nullptr, 0);
+        NodeId b = net.addNode(nullptr, 0);
+        net.addNode([](Packet) {}, 0); // keep ids comparable
+        NodeId dst = net.addNode([](Packet) {}, cross ? 1 : 0);
         for (int i = 0; i < 20; i++) {
             net.send(makePacket(a, dst, 1500, ReqId(2 * i + 1)));
             net.send(makePacket(b, dst, 1500, ReqId(2 * i + 2)));
@@ -97,27 +97,68 @@ TEST(MultiRack, AggregationLinkSerializesCrossRackBursts)
     EXPECT_GT(cross_done, intra_done);
 }
 
-TEST(MultiRack, LossyAggregationQueueTailDrops)
+/** 4 rack-0 senders x 25 MTU packets into one rack-1 node, through
+ * 2-packet aggregation queues. */
+NetStats
+aggregationIncast(NetConfig cfg)
 {
     EventQueue eq;
-    auto cfg = quietNet();
-    cfg.lossless = false;
-    cfg.agg_bandwidth_bps = cfg.link_bandwidth_bps / 10;
     cfg.agg_queue_packets = 2;
     Network net(eq, cfg, 1);
     std::vector<NodeId> srcs;
     for (int k = 0; k < 4; k++)
-        srcs.push_back(net.addNode(nullptr, 0, 0));
-    NodeId dst = net.addNode([](Packet) {}, 0, 1);
+        srcs.push_back(net.addNode(nullptr, 0));
+    NodeId dst = net.addNode([](Packet) {}, 1);
     ReqId id = 1;
     for (int i = 0; i < 25; i++) {
         for (NodeId s : srcs)
             net.send(makePacket(s, dst, 1500, id++));
     }
     eq.runAll();
-    EXPECT_GT(net.stats().dropped_agg_queue, 0u);
-    EXPECT_EQ(net.stats().delivered + net.stats().dropped_agg_queue,
-              net.stats().sent);
+    return net.stats();
+}
+
+TEST(MultiRack, LossyAggregationQueueTailDrops)
+{
+    auto cfg = quietNet();
+    cfg.lossless = false;
+    cfg.agg_bandwidth_bps = cfg.link_bandwidth_bps / 10;
+    const NetStats st = aggregationIncast(cfg);
+    EXPECT_GT(st.dropped_agg_queue, 0u);
+    EXPECT_EQ(st.delivered + st.dropped_agg_queue, st.sent);
+}
+
+TEST(MultiRack, LosslessAggregationQueueBackPressures)
+{
+    // Lossless, with the uplink at host-link speed: a full uplink queue
+    // holds senders at their NICs instead of dropping.
+    auto cfg = quietNet();
+    cfg.lossless = true;
+    cfg.agg_bandwidth_bps = cfg.link_bandwidth_bps;
+    const NetStats st = aggregationIncast(cfg);
+    EXPECT_GT(st.pfc_stalls, 0u);
+    EXPECT_EQ(st.dropped_agg_queue, 0u);
+    EXPECT_EQ(st.delivered, 100u);
+}
+
+TEST(MultiRack, RackDownOfARackWithNoNodeIsANoOp)
+{
+    // Neither a huge rack id nor one whose `rack + 1` wraps to 0 may
+    // resize the rack table; rack-0 traffic stays at idle latency.
+    EventQueue eq;
+    auto cfg = quietNet();
+    Network net(eq, cfg, 1);
+    NodeId a = net.addNode(nullptr, 0);
+    Tick delivered_at = 0;
+    NodeId b = net.addNode([&](Packet) { delivered_at = eq.now(); }, 0);
+    net.setRackDown(0xFFFFFFFF, true);
+    net.setRackDown(100000, true);
+    net.send(makePacket(a, b, 1000));
+    eq.runAll();
+    const Tick ser = 1000 * ticksPerByte(cfg.link_bandwidth_bps);
+    EXPECT_EQ(delivered_at,
+              2 * ser + 2 * cfg.link_propagation + cfg.switch_latency);
+    EXPECT_EQ(net.stats().delivered, 1u);
 }
 
 TEST(ShardMap, RackAwareOwnerStaysLocalWheneverPossible)

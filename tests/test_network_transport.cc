@@ -172,6 +172,124 @@ TEST(Network, LosslessBackPressureBoundsQueue)
     EXPECT_LE(net.stats().peak_queue_depth, 4u);
 }
 
+/** Idle-fabric latency of a `bytes`-long rack-to-rack packet. */
+Tick
+idleCrossRackLatency(const NetConfig &cfg, std::uint32_t bytes)
+{
+    const Tick ser = bytes * ticksPerByte(cfg.link_bandwidth_bps);
+    const Tick agg_ser = bytes * ticksPerByte(cfg.agg_bandwidth_bps);
+    return 2 * ser + 2 * agg_ser + 2 * cfg.link_propagation +
+           2 * cfg.agg_link_propagation + 2 * cfg.switch_latency +
+           cfg.spine_latency;
+}
+
+/**
+ * Extra latency of a 1000 B probe from `probe_rack` into rack 1, sent
+ * at the same tick as a 1000 B rack 0 -> rack 1 packet that the fault
+ * hook drops at hop `drop_at` (1-based; 0 = never). The probe queues
+ * behind whichever of its hops the dropped packet had already booked.
+ */
+Tick
+probeDelay(int drop_at, RackId probe_rack, NetStats *stats = nullptr)
+{
+    EventQueue eq;
+    Network net(eq, quietNet(), 1);
+    NodeId src = net.addNode(nullptr, 0);
+    NodeId probe_src = net.addNode(nullptr, probe_rack);
+    Tick probe_at = 0;
+    NodeId dst = net.addNode([&](Packet pkt) {
+        if (pkt.req_id == 2)
+            probe_at = eq.now();
+    }, 1);
+    int hop = 0;
+    net.setFaultHook([&](const Packet &pkt) {
+        FaultVerdict v;
+        v.drop = pkt.req_id == 1 && ++hop == drop_at;
+        return v;
+    });
+    net.send(makePacket(src, dst, 1000, 1));
+    net.send(makePacket(probe_src, dst, 1000, 2));
+    eq.runAll();
+    if (stats)
+        *stats = net.stats();
+    return probe_at - idleCrossRackLatency(quietNet(), 1000);
+}
+
+TEST(Network, FaultHookRunsOncePerHopInPathOrder)
+{
+    EventQueue eq;
+    Network net(eq, quietNet(), 1);
+    NodeId a = net.addNode(nullptr, 0);
+    NodeId same = net.addNode([](Packet) {}, 0);
+    NodeId other = net.addNode([](Packet) {}, 1);
+    int calls = 0;
+    net.setFaultHook([&](const Packet &) {
+        calls++;
+        return FaultVerdict{};
+    });
+    net.send(makePacket(a, other, 1000, 1));
+    EXPECT_EQ(calls, 3);
+    net.send(makePacket(a, same, 1000, 2));
+    EXPECT_EQ(calls, 4);
+    eq.runAll();
+    EXPECT_EQ(net.stats().delivered, 2u);
+
+    // A drop at the first hop ends the walk before any queue is booked.
+    NetStats stats;
+    EXPECT_EQ(probeDelay(1, 0, &stats), 0u);
+    EXPECT_EQ(stats.dropped_fault, 1u);
+    EXPECT_EQ(stats.delivered, 1u);
+
+    // Path order: the rack uplink (shared only with a rack-0 probe),
+    // then the spine downlink (shared with a rack-2 probe too), then
+    // the destination ToR port, whose host-speed serialization the
+    // probe waits out only when the packet got all the way through.
+    const Tick ser = 1000 * ticksPerByte(quietNet().link_bandwidth_bps);
+    const Tick agg_ser = 1000 * ticksPerByte(quietNet().agg_bandwidth_bps);
+    EXPECT_EQ(probeDelay(1, 2), 0u);
+    EXPECT_EQ(probeDelay(2, 0), agg_ser);
+    EXPECT_EQ(probeDelay(2, 2), 0u);
+    EXPECT_EQ(probeDelay(3, 0), agg_ser);
+    EXPECT_EQ(probeDelay(3, 2), agg_ser);
+    EXPECT_EQ(probeDelay(0, 0), ser);
+    EXPECT_EQ(probeDelay(0, 2), ser);
+}
+
+// A heartbeat sent behind a bulk backlog neither waits for nor books
+// any queue on its cross-rack path: it arrives at idle-fabric latency,
+// and the data packet sent after it lands as if it had never existed.
+TEST(Network, PriorityPacketBypassesEveryHopQueue)
+{
+    const NetConfig cfg = quietNet();
+    Tick prio_at = 0;
+    const auto run = [&](bool with_prio) {
+        EventQueue eq;
+        Network net(eq, cfg, 1);
+        NodeId a = net.addNode(nullptr, 0);
+        Tick data_at = 0;
+        NodeId b = net.addNode([&](Packet pkt) {
+            if (pkt.priority)
+                prio_at = eq.now();
+            else
+                data_at = eq.now();
+        }, 1);
+        for (ReqId id = 1; id <= 8; id++)
+            net.send(makePacket(a, b, 1500, id));
+        if (with_prio) {
+            Packet hb = makePacket(a, b, 100, 100);
+            hb.priority = true;
+            net.send(hb);
+        }
+        net.send(makePacket(a, b, 1500, 9));
+        eq.runAll();
+        EXPECT_EQ(net.stats().priority_bypass, with_prio ? 1u : 0u);
+        return data_at;
+    };
+    const Tick without = run(false);
+    EXPECT_EQ(run(true), without);
+    EXPECT_EQ(prio_at, idleCrossRackLatency(cfg, 100));
+}
+
 TEST(Wire, PacketCountMatchesMtu)
 {
     const std::uint32_t mtu = 1500;
