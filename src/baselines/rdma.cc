@@ -20,7 +20,7 @@ wireRoundTrip(const NetConfig &net, std::uint64_t request_bytes,
                per_byte;
 }
 
-NicCache::NicCache(std::uint32_t capacity) : capacity_(capacity)
+NicCache::NicCache(std::uint32_t capacity) : lru_(capacity)
 {
     clio_assert(capacity > 0, "NIC cache capacity must be nonzero");
 }
@@ -28,19 +28,12 @@ NicCache::NicCache(std::uint32_t capacity) : capacity_(capacity)
 bool
 NicCache::touch(std::uint64_t id)
 {
-    auto it = map_.find(id);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    if (lru_.touch(id) != lru_.kNone) {
         hits_++;
         return true;
     }
     misses_++;
-    if (map_.size() >= capacity_) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(id);
-    map_[id] = lru_.begin();
+    lru_.insert(id);
     return false;
 }
 

@@ -25,7 +25,6 @@
 #define CLIO_BASELINES_RDMA_HH
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -34,6 +33,7 @@
 #include "mem/physical_memory.hh"
 #include "net/packet.hh"
 #include "sim/config.hh"
+#include "sim/lru_index.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -69,10 +69,7 @@ class NicCache
     std::uint64_t misses() const { return misses_; }
 
   private:
-    std::uint32_t capacity_;
-    std::list<std::uint64_t> lru_;
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        map_;
+    LruIndex<std::uint64_t> lru_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -6,28 +6,6 @@
 
 namespace clio {
 
-namespace {
-
-/** Split [va, va + len) at page boundaries and call
- * f(piece_va, offset_in_page, piece_len) per piece, stopping early when
- * f returns false. @return whether every piece was visited. */
-template <typename F>
-bool
-forEachPage(VirtAddr va, std::uint64_t len, std::uint64_t page_size, F &&f)
-{
-    while (len > 0) {
-        const std::uint64_t in_page = va % page_size;
-        const std::uint64_t n = std::min(len, page_size - in_page);
-        if (!f(va, in_page, n))
-            return false;
-        va += n;
-        len -= n;
-    }
-    return true;
-}
-
-} // namespace
-
 CBoard::CBoard(EventQueue &eq, Network &network, const ModelConfig &cfg,
                std::uint64_t phys_bytes, RackId rack)
     : eq_(eq), net_(network), cfg_(cfg),
@@ -84,6 +62,8 @@ CBoard::crash()
     stats_.crashes++;
     // The pipeline state and inflight reassembly die with the board.
     inflight_.clear();
+    inflight_free_.clear();
+    inflight_index_.clear();
     lock_owners_.clear();
 }
 
@@ -115,7 +95,6 @@ CBoard::restart()
     last_op_done_ = 0;
     refill_pending_ = false;
     refill_done_ = 0;
-    inflight_.clear();
     packets_since_gc_ = 0;
     lock_owners_.clear();
     // A rebooted board fences nothing until the controller observes
@@ -136,6 +115,33 @@ CBoard::restart()
 // Ingress + MAT routing
 // ---------------------------------------------------------------------
 
+std::uint32_t
+CBoard::inflightSlot(ReqId id)
+{
+    std::uint32_t slot = inflight_index_.find(id);
+    if (slot != inflight_index_.kNone)
+        return slot;
+    if (inflight_free_.empty()) {
+        slot = static_cast<std::uint32_t>(inflight_.size());
+        inflight_.emplace_back();
+    } else {
+        slot = inflight_free_.back();
+        inflight_free_.pop_back();
+    }
+    inflight_[slot].id = id;
+    inflight_[slot].used = true;
+    inflight_index_.insert(id, slot);
+    return slot;
+}
+
+void
+CBoard::releaseInflight(std::uint32_t slot)
+{
+    inflight_index_.erase(inflight_[slot].id);
+    inflight_[slot] = Inflight{};
+    inflight_free_.push_back(slot);
+}
+
 void
 CBoard::gcInflight()
 {
@@ -143,11 +149,9 @@ CBoard::gcInflight()
     if (eq_.now() < horizon)
         return;
     const Tick cutoff = eq_.now() - horizon;
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.last_seen < cutoff)
-            it = inflight_.erase(it);
-        else
-            ++it;
+    for (std::uint32_t slot = 0; slot < inflight_.size(); slot++) {
+        if (inflight_[slot].used && inflight_[slot].last_seen < cutoff)
+            releaseInflight(slot);
     }
 }
 
@@ -202,43 +206,37 @@ CBoard::onPacket(Packet pkt)
       case MsgType::kWrite:
       case MsgType::kAtomic:
       case MsgType::kFence: {
-        auto &inflight = inflight_[pkt.req_id];
+        const std::uint32_t slot = inflightSlot(pkt.req_id);
+        Inflight &inflight = inflight_[slot];
         if (!acceptPart(pkt, inflight))
             break;
-        fastPathPacket(pkt, inflight);
-        if (inflight.parts.complete()) {
-            const auto &req = *inflight.req;
-            auto resp = resp_pool_.acquire();
-            resp->req_id = req.req_id;
-            resp->status = inflight.status;
-            if (inflight.status == Status::kOk) {
-                if (req.type == MsgType::kRead) {
-                    // The fast path streamed the data out while
-                    // processing; materialize it into the response.
-                    resp->data.resize(req.size);
-                    readFunctional(req.pid, req.addr, resp->data.data(),
-                                   req.size);
-                } else if (req.type == MsgType::kAtomic) {
-                    resp->value = inflight.atomic_result;
-                }
-            }
-            // Record non-idempotent completions in the dedup buffer
-            // under the ORIGINAL attempt id (T4).
-            if (inflight.status == Status::kOk && !inflight.suppressed) {
-                if (req.type == MsgType::kWrite)
-                    dedup_.record(req.orig_req_id);
-                else if (req.type == MsgType::kAtomic)
-                    dedup_.record(req.orig_req_id,
-                                  inflight.atomic_result);
-            }
-            const Tick when = inflight.done +
-                              cfg_.fast_path.respond_cycles *
-                                  cfg_.fast_path.cycle +
-                              cfg_.fast_path.mac_latency;
-            last_op_done_ = std::max(last_op_done_, inflight.done);
-            respondAt(when, req.src, req.req_id, std::move(resp));
-            inflight_.erase(req.req_id);
+        if (!inflight.parts.complete()) {
+            fastPathPacket(pkt, inflight, nullptr);
+            break;
         }
+        const auto &req = *inflight.req;
+        auto resp = resp_pool_.acquire();
+        fastPathPacket(pkt, inflight, resp.get());
+        resp->req_id = req.req_id;
+        resp->status = inflight.status;
+        if (inflight.status != Status::kOk)
+            resp->data.clear(); // a failed read answers header-only
+        else if (req.type == MsgType::kAtomic)
+            resp->value = inflight.atomic_result;
+        // Record non-idempotent completions in the dedup buffer under
+        // the ORIGINAL attempt id (T4).
+        if (inflight.status == Status::kOk && !inflight.suppressed) {
+            if (req.type == MsgType::kWrite)
+                dedup_.record(req.orig_req_id);
+            else if (req.type == MsgType::kAtomic)
+                dedup_.record(req.orig_req_id, inflight.atomic_result);
+        }
+        const Tick when = inflight.done +
+                          cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle +
+                          cfg_.fast_path.mac_latency;
+        last_op_done_ = std::max(last_op_done_, inflight.done);
+        respondAt(when, req.src, req.req_id, std::move(resp));
+        releaseInflight(slot);
         break;
       }
       case MsgType::kAlloc:
@@ -351,24 +349,6 @@ CBoard::translateOne(ProcId pid, VirtAddr va, bool is_write, Tick &t,
     return pte;
 }
 
-bool
-CBoard::readFunctional(ProcId pid, VirtAddr va, void *dst,
-                       std::uint64_t len)
-{
-    const std::uint64_t page_size = cfg_.page_table.page_size;
-    auto *out = static_cast<std::uint8_t *>(dst);
-    return forEachPage(
-        va, len, page_size,
-        [&](VirtAddr page_va, std::uint64_t in_page, std::uint64_t n) {
-            const Pte *pte = page_table_.lookup(pid, page_va / page_size);
-            if (!pte || !pte->present)
-                return false;
-            memory_.read(pte->frame + in_page, out, n);
-            out += n;
-            return true;
-        });
-}
-
 Tick
 CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
 {
@@ -385,7 +365,8 @@ CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
 }
 
 void
-CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight)
+CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight,
+                       ResponseMsg *resp)
 {
     const auto &req = *inflight.req;
 
@@ -410,7 +391,11 @@ CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight)
       case MsgType::kRead:
         stats_.reads++;
         stats_.bytes_read += req.size;
-        t = walkPages(req.pid, req.addr, req.size, false, t, status);
+        // The completing part streams the data into the response as it
+        // translates: one translation per page per read.
+        t = walkPages(req.pid, req.addr, req.size, false, t, status,
+                      nullptr, nullptr, nullptr,
+                      resp ? &resp->data : nullptr);
         break;
       case MsgType::kWrite:
         // This packet carries payload [payload_offset, +payload_len),
@@ -529,33 +514,39 @@ CBoard::admitPipeline(Tick ready, std::uint64_t bytes)
 Tick
 CBoard::walkPages(ProcId pid, VirtAddr va, std::uint64_t len, bool is_write,
                   Tick t, Status &status, std::uint8_t *buf,
-                  OffloadCost *split, std::uint64_t *moved)
+                  OffloadCost *split, std::uint64_t *moved,
+                  std::vector<std::uint8_t> *read_out)
 {
-    forEachPage(va, len, cfg_.page_table.page_size,
-                [&](VirtAddr page_va, std::uint64_t in_page,
-                    std::uint64_t n) {
-                    const Tick start = t;
-                    const auto pte =
-                        translateOne(pid, page_va, is_write, t, status);
-                    if (!pte)
-                        return false;
-                    if (buf) {
-                        if (is_write)
-                            memory_.write(pte->frame + in_page, buf, n);
-                        else
-                            memory_.read(pte->frame + in_page, buf, n);
-                        buf += n;
-                    }
-                    const Tick translated = t;
-                    t = memoryAccess(t, n, is_write);
-                    if (split) {
-                        split->translate += translated - start;
-                        split->dram += t - translated;
-                    }
-                    if (moved)
-                        *moved += n;
-                    return true;
-                });
+    const std::uint64_t page_size = cfg_.page_table.page_size;
+    while (len > 0) {
+        const std::uint64_t in_page = va % page_size;
+        const std::uint64_t n = std::min(len, page_size - in_page);
+        const Tick start = t;
+        const auto pte = translateOne(pid, va, is_write, t, status);
+        if (!pte)
+            break;
+        const PhysAddr pa = pte->frame + in_page;
+        if (buf) {
+            if (is_write)
+                memory_.write(pa, buf, n);
+            else
+                memory_.read(pa, buf, n);
+            buf += n;
+        } else if (read_out) {
+            read_out->resize(read_out->size() + n);
+            memory_.read(pa, read_out->data() + read_out->size() - n, n);
+        }
+        const Tick translated = t;
+        t = memoryAccess(t, n, is_write);
+        if (split) {
+            split->translate += translated - start;
+            split->dram += t - translated;
+        }
+        if (moved)
+            *moved += n;
+        va += n;
+        len -= n;
+    }
     return t;
 }
 
@@ -741,7 +732,8 @@ CBoard::registerOffloadShared(OffloadDescriptor desc,
 void
 CBoard::extendPathPacket(const Packet &pkt)
 {
-    auto &inflight = inflight_[pkt.req_id];
+    const std::uint32_t slot = inflightSlot(pkt.req_id);
+    Inflight &inflight = inflight_[slot];
     if (!acceptPart(pkt, inflight))
         return;
     const FastPathConfig &fp = cfg_.fast_path;
@@ -793,7 +785,7 @@ CBoard::extendPathPacket(const Packet &pkt)
     done += fp.respond_cycles * fp.cycle + fp.mac_latency;
     last_op_done_ = std::max(last_op_done_, done);
     respondAt(done, req.src, req.req_id, std::move(resp));
-    inflight_.erase(pkt.req_id);
+    releaseInflight(slot);
 }
 
 Tick

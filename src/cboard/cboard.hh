@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cboard/dedup_buffer.hh"
@@ -47,6 +46,7 @@
 #include "proto/wire.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "valloc/va_allocator.hh"
 
 namespace clio {
@@ -180,11 +180,6 @@ class CBoard
     Tick slowPathFree(ProcId pid, VirtAddr addr, ResponseMsg &resp);
     /** @} */
 
-    /** Functional (zero-time) read through the page table; used when
-     * assembling a read response and by tests. False on fault. */
-    bool readFunctional(ProcId pid, VirtAddr va, void *dst,
-                        std::uint64_t len);
-
     /** Invoke a registered offload directly (no network) — the
      * developer-simulator path (§5) and offload unit tests.
      * @param split when non-null, receives the invocation's cost split.
@@ -193,6 +188,10 @@ class CBoard
                             const std::vector<std::uint8_t> &arg,
                             OffloadResult &result,
                             OffloadCost *split = nullptr);
+
+    /** Requests with packets received but no response yet, including
+     * abandoned ones the GC has not collected (test hook). */
+    std::size_t inflightEntries() const { return inflight_index_.size(); }
 
     /** Tear down a process: drop VA state, PTEs, frames, TLB entries. */
     void destroyProcess(ProcId pid);
@@ -269,7 +268,20 @@ class CBoard
         Tick last_seen = 0;
         /** The request, set by its first accepted part. */
         std::shared_ptr<const RequestMsg> req;
+        /** Request id the entry is filed under, while `used`. */
+        ReqId id = 0;
+        bool used = false;
     };
+
+    /** Slot of the inflight entry of request `id`, creating an empty
+     * one if absent. Creating may grow the slot array, so take
+     * Inflight references only after this returns. */
+    std::uint32_t inflightSlot(ReqId id);
+
+    /** Unfile and reset an inflight entry (its request reference is
+     * dropped so the sender's MessagePool can recycle the message)
+     * and free its slot. */
+    void releaseInflight(std::uint32_t slot);
 
     /** Sweep inflight entries abandoned for longer than ~10x a client
      * timeout (their packets were lost; the client retried with a new
@@ -285,8 +297,11 @@ class CBoard
      * @return whether the part is new and should be processed. */
     bool acceptPart(const Packet &pkt, Inflight &inflight);
 
-    /** Handle one fast-path packet (read/write slice/atomic/fence). */
-    void fastPathPacket(const Packet &pkt, Inflight &inflight);
+    /** Handle one fast-path packet (read/write slice/atomic/fence).
+     * @param resp the response, when this part completes the request:
+     *        a read copies its data into it while translating. */
+    void fastPathPacket(const Packet &pkt, Inflight &inflight,
+                        ResponseMsg *resp);
 
     /** Occupy the fast-path pipeline (II = 1: one datapath word per
      * cycle) with `bytes` entering at `ready`, plus the parse stage.
@@ -312,12 +327,16 @@ class CBoard
      * data access are charged.
      * @param split when non-null, accumulates translate / dram time.
      * @param moved when non-null, accumulates the bytes accessed.
+     * @param read_out when non-null (reads without `buf`), each page's
+     *        bytes are appended to it, so a length that outruns the
+     *        mapping never sizes it past the pages that translated.
      * @return tick the last access (or failed translation) completes.
      */
     Tick walkPages(ProcId pid, VirtAddr va, std::uint64_t len,
                    bool is_write, Tick t, Status &status,
                    std::uint8_t *buf = nullptr, OffloadCost *split = nullptr,
-                   std::uint64_t *moved = nullptr);
+                   std::uint64_t *moved = nullptr,
+                   std::vector<std::uint8_t> *read_out = nullptr);
 
     /** Handle a slow-path request (alloc/free) end to end. */
     void slowPathPacket(const Packet &pkt);
@@ -373,7 +392,13 @@ class CBoard
      * quarter of physical memory for small configurations). */
     std::uint32_t reserve_cap_ = 0;
 
-    std::unordered_map<ReqId, Inflight> inflight_;
+    /** @{ Inflight reassembly entries: a slot array recycled through
+     * a free list (the GC walks it in slot order) and the id -> slot
+     * index. */
+    std::vector<Inflight> inflight_;
+    std::vector<std::uint32_t> inflight_free_;
+    FlatIndex<ReqId> inflight_index_;
+    /** @} */
     std::uint64_t packets_since_gc_ = 0;
 
     /** Recycling ring for response messages (one per completed

@@ -4,7 +4,8 @@
 
 namespace clio {
 
-DedupBuffer::DedupBuffer(std::uint32_t capacity) : capacity_(capacity)
+DedupBuffer::DedupBuffer(std::uint32_t capacity)
+    : ring_(capacity), index_(capacity)
 {
     clio_assert(capacity > 0, "dedup buffer capacity must be nonzero");
 }
@@ -12,23 +13,25 @@ DedupBuffer::DedupBuffer(std::uint32_t capacity) : capacity_(capacity)
 void
 DedupBuffer::record(ReqId req_id, std::uint64_t atomic_result)
 {
-    auto [it, inserted] = results_.try_emplace(req_id, atomic_result);
-    if (!inserted)
+    if (index_.find(req_id) != index_.kNone)
         return; // already recorded (e.g. duplicate delivery)
-    fifo_.push_back(req_id);
-    if (fifo_.size() > capacity_) {
-        results_.erase(fifo_.front());
-        fifo_.pop_front();
-    }
+    Entry &slot = ring_[next_];
+    if (size_ == ring_.size())
+        index_.erase(slot.req_id); // evict the oldest
+    else
+        size_++;
+    slot = Entry{req_id, atomic_result};
+    index_.insert(req_id, next_);
+    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
 }
 
 std::optional<std::uint64_t>
 DedupBuffer::find(ReqId req_id) const
 {
-    auto it = results_.find(req_id);
-    if (it == results_.end())
+    const std::uint32_t slot = index_.find(req_id);
+    if (slot == index_.kNone)
         return std::nullopt;
-    return it->second;
+    return ring_[slot].result;
 }
 
 } // namespace clio

@@ -13,10 +13,10 @@
 #define CLIO_CBOARD_DEDUP_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_index.hh"
 #include "sim/types.hh"
 
 namespace clio {
@@ -40,20 +40,29 @@ class DedupBuffer
      */
     std::optional<std::uint64_t> find(ReqId req_id) const;
 
-    std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t size() const {
-        return static_cast<std::uint32_t>(fifo_.size());
+    std::uint32_t capacity() const {
+        return static_cast<std::uint32_t>(ring_.size());
     }
+    std::uint32_t size() const { return size_; }
 
     /** Suppressed duplicate executions (stat). */
     std::uint64_t suppressed() const { return suppressed_; }
     void noteSuppressed() { suppressed_++; }
 
   private:
-    std::uint32_t capacity_;
-    /** Insertion order for ring eviction. */
-    std::deque<ReqId> fifo_;
-    std::unordered_map<ReqId, std::uint64_t> results_;
+    struct Entry
+    {
+        ReqId req_id = 0;
+        std::uint64_t result = 0;
+    };
+
+    /** Recorded requests in insertion order, oldest at `next_` once
+     * the ring is full (FIFO eviction). */
+    std::vector<Entry> ring_;
+    /** req_id -> ring index. */
+    FlatIndex<ReqId> index_;
+    std::uint32_t next_ = 0;
+    std::uint32_t size_ = 0;
     std::uint64_t suppressed_ = 0;
 };
 

@@ -102,7 +102,7 @@ CNode::issue(std::shared_ptr<RequestMsg> req,
     out.req = std::move(req);
     out.cb = std::move(cb);
     out.expected_resp_bytes = expected_resp_bytes;
-    out_index_.emplace(id, slot);
+    out_index_.insert(id, slot);
     mn_wait_[mnIndex(mn)].push_back(id);
     trySend(mn);
 }
@@ -143,13 +143,12 @@ CNode::trySend(NodeId mn)
                 return;
             }
         }
-        const ReqId id = wait.front();
-        auto it = out_index_.find(id);
-        if (it == out_index_.end()) {
+        const std::uint32_t slot = out_index_.find(wait.front());
+        if (slot == out_index_.kNone) {
             wait.pop_front(); // cancelled/stale
             continue;
         }
-        Outstanding &out = out_slots_[it->second];
+        Outstanding &out = out_slots_[slot];
         // Incast window: bound expected response bytes (always admit
         // at least one request so big reads are not starved).
         if (iwnd_used_ > 0 &&
@@ -212,9 +211,9 @@ CNode::timeoutFor(const RequestMsg &req) const
 void
 CNode::armTimeout(ReqId attempt_id, std::uint64_t generation)
 {
-    auto it = out_index_.find(attempt_id);
-    clio_assert(it != out_index_.end(), "arming unknown request");
-    eq_.scheduleAfter(timeoutFor(*out_slots_[it->second].req),
+    const std::uint32_t slot = out_index_.find(attempt_id);
+    clio_assert(slot != out_index_.kNone, "arming unknown request");
+    eq_.scheduleAfter(timeoutFor(*out_slots_[slot].req),
                       [this, attempt_id, generation] {
                           handleTimeout(attempt_id, generation);
                       });
@@ -223,15 +222,14 @@ CNode::armTimeout(ReqId attempt_id, std::uint64_t generation)
 void
 CNode::handleTimeout(ReqId attempt_id, std::uint64_t generation)
 {
-    auto it = out_index_.find(attempt_id);
-    if (it == out_index_.end() ||
-        out_slots_[it->second].generation != generation)
+    const std::uint32_t slot = out_index_.find(attempt_id);
+    if (slot == out_index_.kNone ||
+        out_slots_[slot].generation != generation)
         return; // completed or already retried
     stats_.timeouts++;
-    const std::uint32_t slot = it->second;
     out_slots_[slot].last_fail_timeout = true;
     out_slots_[slot].last_fail_fenced = false;
-    out_index_.erase(it);
+    out_index_.erase(attempt_id);
     retry(slot, true);
 }
 
@@ -278,10 +276,8 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
     fresh->req_id = (static_cast<ReqId>(node_) << 40) | next_req_seq_++;
     out.req = std::move(fresh);
     out.retries++;
-    const auto [it, inserted] =
-        out_index_.emplace(out.req->req_id, slot);
+    const bool inserted = out_index_.insert(out.req->req_id, slot);
     clio_assert(inserted, "request id collision");
-    (void)it;
     // Exponential backoff before a timeout-triggered retransmission:
     // if the MN crashed, hammering it every TIMEOUT only burns wire;
     // if it is merely congested, spacing retries helps it drain.
@@ -302,10 +298,8 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
         // re-check that the slot still owns this attempt id.
         const ReqId rid = out.req->req_id;
         eq_.scheduleAfter(backoff, [this, slot, rid] {
-            auto jt = out_index_.find(rid);
-            if (jt == out_index_.end() || jt->second != slot)
-                return;
-            transmit(out_slots_[slot]);
+            if (out_index_.find(rid) == slot)
+                transmit(out_slots_[slot]);
         });
     }
 }
@@ -358,10 +352,9 @@ CNode::onPacket(Packet pkt)
 {
     if (!alive_)
         return; // dead NIC: deliveries in flight are lost
-    auto it = out_index_.find(pkt.req_id);
-    if (it == out_index_.end())
+    const std::uint32_t slot = out_index_.find(pkt.req_id);
+    if (slot == out_index_.kNone)
         return; // stale response (e.g. the original after a retry won)
-    const std::uint32_t slot = it->second;
     Outstanding &out = out_slots_[slot];
 
     if (pkt.type == MsgType::kNack) {
@@ -369,7 +362,7 @@ CNode::onPacket(Packet pkt)
         stats_.nacks++;
         out.last_fail_timeout = false;
         out.last_fail_fenced = false;
-        out_index_.erase(it);
+        out_index_.erase(pkt.req_id);
         retry(slot, false);
         return;
     }
@@ -417,7 +410,7 @@ CNode::onPacket(Packet pkt)
         // Checksum failure on the response: retry the whole request.
         out.last_fail_timeout = false;
         out.last_fail_fenced = false;
-        out_index_.erase(it);
+        out_index_.erase(pkt.req_id);
         retry(slot, false);
         return;
     }
@@ -440,7 +433,7 @@ CNode::onPacket(Packet pkt)
         }
         out.last_fail_timeout = false;
         out.last_fail_fenced = true;
-        out_index_.erase(it);
+        out_index_.erase(pkt.req_id);
         retry(slot, false);
         return;
     }
@@ -452,7 +445,7 @@ CNode::onPacket(Packet pkt)
     stats_.responses++;
 
     auto cb = std::move(out.cb);
-    out_index_.erase(it);
+    out_index_.erase(pkt.req_id);
     freeSlot(slot);
 
     // CN NIC + CLib software receive overhead before the app sees it.
@@ -472,8 +465,8 @@ CNode::crash()
     stats_.crashes++;
     // Fail every outstanding request: the issuing processes died with
     // the node, but completions must still fire so callers pumping the
-    // event queue unwind instead of hanging. Walk slots in index order
-    // — the id map's iteration order is not deterministic.
+    // event queue unwind instead of hanging. Walk slots in index order,
+    // so completions are scheduled deterministically.
     for (std::uint32_t slot = 0;
          slot < static_cast<std::uint32_t>(out_slots_.size()); slot++) {
         Outstanding &out = out_slots_[slot];

@@ -16,9 +16,11 @@
  *
  * Layout note: one CNode is shared by every simulated process on its
  * server, so at 10^4+ processes per CN the per-request state here is
- * kept in pooled slots (bodies are recycled, never freed per-op) and
- * the per-MN congestion records are a trivially-copyable
- * struct-of-arrays scanned linearly on the send/ack paths.
+ * kept in pooled slots (bodies are recycled, never freed per-op),
+ * found by attempt id through a flat open-addressed index (no node
+ * allocation per request), and the per-MN congestion records are a
+ * trivially-copyable struct-of-arrays scanned linearly on the
+ * send/ack paths.
  */
 
 #ifndef CLIO_CLIB_CNODE_HH
@@ -29,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hh"
@@ -37,6 +38,7 @@
 #include "proto/wire.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "sim/stats.hh"
 
 namespace clio {
@@ -198,7 +200,7 @@ class CNode
 
     /** @{ Pooled outstanding-request slots: bodies are recycled
      * through a free list (their vectors keep capacity across ops),
-     * and the id map holds a 4-byte slot index instead of a body. */
+     * and the flat id index holds a 4-byte slot index per request. */
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
     /** @} */
@@ -209,7 +211,7 @@ class CNode
     NodeId node_;
 
     /** Outstanding requests: CURRENT attempt id -> slot. */
-    std::unordered_map<ReqId, std::uint32_t> out_index_;
+    FlatIndex<ReqId> out_index_;
     std::vector<Outstanding> out_slots_;
     std::vector<std::uint32_t> out_free_;
 

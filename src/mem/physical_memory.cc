@@ -18,8 +18,8 @@ PhysicalMemory::chunkFor(std::uint64_t chunk_index) const
     auto it = chunks_.find(chunk_index);
     if (it != chunks_.end())
         return it->second.get();
+    // make_unique<T[]> value-initializes: the chunk starts zeroed.
     auto chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);
-    std::memset(chunk.get(), 0, kChunkBytes);
     auto *raw = chunk.get();
     chunks_.emplace(chunk_index, std::move(chunk));
     return raw;

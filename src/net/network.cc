@@ -50,6 +50,45 @@ Network::setRackDown(RackId rack, bool down)
 }
 
 void
+Network::Stage::push(Tick done)
+{
+    if (size_ == ring_.size()) {
+        // Full: unroll into a ring twice the size, oldest first.
+        std::vector<Tick> grown(std::max<std::size_t>(16, 2 * ring_.size()));
+        for (std::uint32_t i = 0; i < size_; i++)
+            grown[i] = at(i);
+        ring_.swap(grown);
+        head_ = 0;
+    }
+    ring_[(head_ + size_) & mask()] = done;
+    size_++;
+}
+
+void
+Network::Stage::popDeparted(Tick now)
+{
+    while (size_ > 0 && ring_[head_] <= now) {
+        head_ = (head_ + 1) & mask();
+        size_--;
+    }
+}
+
+std::uint32_t
+Network::Stage::queuedAfter(Tick t) const
+{
+    // First departure after `t`; everything from it on is still queued.
+    std::uint32_t lo = 0, hi = size_;
+    while (lo < hi) {
+        const std::uint32_t mid = lo + (hi - lo) / 2;
+        if (at(mid) <= t)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return size_ - lo;
+}
+
+void
 Network::scheduleDelivery(Tick deliver, Packet pkt)
 {
     const NodeId dst_id = pkt.dst;
@@ -118,14 +157,14 @@ Network::send(Packet pkt)
     // tx_start is delayed, queues stay bounded.
     Tick hold = now;
     for (std::size_t i = 0; i < hops; i++) {
-        std::deque<Tick> &drain = path[i].stage->drain;
-        while (!drain.empty() && drain.front() <= now)
-            drain.pop_front();
+        Stage &stage = *path[i].stage;
+        stage.popDeparted(now);
         // With `depth` packets committed and room for `cap`, this one
-        // may occupy the queue once drain[depth - cap] has departed.
+        // may occupy the queue once the one at index depth - cap
+        // (oldest first) has departed.
         const std::uint32_t cap = path[i].link->queue_cap;
-        if (cfg_.lossless && !prio && drain.size() >= cap)
-            hold = std::max(hold, drain[drain.size() - cap]);
+        if (cfg_.lossless && !prio && stage.size() >= cap)
+            hold = std::max(hold, stage.at(stage.size() - cap));
     }
     if (hold > now) {
         stats_.pfc_stalls++;
@@ -177,8 +216,7 @@ Network::send(Packet pkt)
             if (v.duplicate)
                 duplicate = true;
         }
-        if (!cfg_.lossless && !prio &&
-            stage.drain.size() >= link.queue_cap) {
+        if (!cfg_.lossless && !prio && stage.size() >= link.queue_cap) {
             (stats_.*link.tail_drops)++;
             return;
         }
@@ -188,7 +226,7 @@ Network::send(Packet pkt)
         const Tick done = start + link_ser + link.forward_latency;
         if (!prio) {
             stage.free = start + link_ser;
-            stage.drain.push_back(done);
+            stage.push(done);
         }
         next = done + link.propagation;
     }
@@ -196,17 +234,12 @@ Network::send(Packet pkt)
     if (!prio) {
         // Physical ToR queue occupancy when this packet's bytes reached
         // it (`arrive` of the last hop): committed packets still
-        // present then (drain is sorted, FIFO). Bounded by the queue
-        // capacity in BOTH modes — in lossless mode because the
-        // admission delay above guarantees enough predecessors have
-        // departed by the time the packet arrives.
-        const auto still_queued =
-            dst.out.drain.end() -
-            std::upper_bound(dst.out.drain.begin(), dst.out.drain.end(),
-                             arrive);
-        stats_.peak_queue_depth =
-            std::max(stats_.peak_queue_depth,
-                     static_cast<std::uint32_t>(still_queued));
+        // present then. Bounded by the queue capacity in BOTH modes —
+        // in lossless mode because the admission delay above
+        // guarantees enough predecessors have departed by the time the
+        // packet arrives.
+        stats_.peak_queue_depth = std::max(stats_.peak_queue_depth,
+                                           dst.out.queuedAfter(arrive));
     }
 
     // --- Arrival at the destination NIC. ---

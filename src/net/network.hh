@@ -21,7 +21,7 @@
  * admission until `out_done` — the instant its last byte leaves the
  * output port — NOT until delivery (which additionally includes the
  * final link propagation plus jitter/reorder delay). Occupancy is
- * kept as a per-stage deque of departure times drained lazily, which
+ * kept as a per-stage ring of departure times drained lazily, which
  * is equivalent to scheduling one drain event per packet at its
  * `out_done` without the event overhead.
  *
@@ -44,7 +44,6 @@
 #define CLIO_NET_NETWORK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -166,16 +165,37 @@ class Network
      * One switch output stage (a ToR output port, a rack uplink, or a
      * rack downlink): when its egress is next idle, plus the departure
      * times of every packet committed to it and not yet departed.
-     * `drain.size()` IS the committed occupancy; entries <= now are
-     * popped lazily (equivalent to a drain event at each out_done).
+     * `size()` IS the committed occupancy; entries <= now are popped
+     * lazily (equivalent to a drain event at each out_done).
      */
-    struct Stage
+    class Stage
     {
+      public:
         /** When the stage's egress link becomes idle. */
         Tick free = 0;
-        /** Departure (out_done) times of committed packets, FIFO.
+
+        /** Committed packets not yet departed. */
+        std::uint32_t size() const { return size_; }
+        /** Departure time of the i-th oldest committed packet. */
+        Tick at(std::uint32_t i) const { return ring_[(head_ + i) & mask()]; }
+        /** Commit a packet departing at `done` (>= every earlier one). */
+        void push(Tick done);
+        /** Free the slots of packets that departed by `now`. */
+        void popDeparted(Tick now);
+        /** Committed packets still queued at `t`: those departing
+         * after it (binary search; departures are sorted). */
+        std::uint32_t queuedAfter(Tick t) const;
+
+      private:
+        std::uint32_t mask() const {
+            return static_cast<std::uint32_t>(ring_.size()) - 1;
+        }
+
+        /** Departure (out_done) times, FIFO in a power-of-two ring.
          * Non-decreasing because egress serialization is FIFO. */
-        std::deque<Tick> drain;
+        std::vector<Tick> ring_;
+        std::uint32_t head_ = 0;
+        std::uint32_t size_ = 0;
     };
 
     /** The constants of one kind of hop, built once from the config.

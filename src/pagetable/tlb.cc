@@ -4,7 +4,7 @@
 
 namespace clio {
 
-Tlb::Tlb(std::uint32_t capacity) : capacity_(capacity)
+Tlb::Tlb(std::uint32_t capacity) : lru_(capacity), ptes_(capacity)
 {
     clio_assert(capacity > 0, "TLB capacity must be nonzero");
 }
@@ -12,65 +12,43 @@ Tlb::Tlb(std::uint32_t capacity) : capacity_(capacity)
 const Pte *
 Tlb::lookup(ProcId pid, std::uint64_t vpn)
 {
-    auto it = map_.find(Key{pid, vpn});
-    if (it == map_.end()) {
+    const std::uint32_t slot = lru_.touch(Key{pid, vpn});
+    if (slot == lru_.kNone) {
         misses_++;
         return nullptr;
     }
     hits_++;
-    // Promote to MRU.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return &it->second.pte;
+    return &ptes_[slot];
 }
 
 void
 Tlb::insert(const Pte &pte)
 {
     const Key key{pte.pid, pte.vpn};
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        it->second.pte = pte;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return;
-    }
-    if (map_.size() >= capacity_) {
-        const Key victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{pte, lru_.begin()});
+    std::uint32_t slot = lru_.touch(key);
+    if (slot == lru_.kNone)
+        slot = lru_.insert(key);
+    ptes_[slot] = pte;
 }
 
 void
 Tlb::update(const Pte &pte)
 {
-    auto it = map_.find(Key{pte.pid, pte.vpn});
-    if (it != map_.end())
-        it->second.pte = pte;
+    const std::uint32_t slot = lru_.find(Key{pte.pid, pte.vpn});
+    if (slot != lru_.kNone)
+        ptes_[slot] = pte;
 }
 
 void
 Tlb::invalidate(ProcId pid, std::uint64_t vpn)
 {
-    auto it = map_.find(Key{pid, vpn});
-    if (it == map_.end())
-        return;
-    lru_.erase(it->second.lru_pos);
-    map_.erase(it);
+    lru_.erase(Key{pid, vpn});
 }
 
 void
 Tlb::invalidateProcess(ProcId pid)
 {
-    for (auto it = map_.begin(); it != map_.end();) {
-        if (it->first.pid == pid) {
-            lru_.erase(it->second.lru_pos);
-            it = map_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    lru_.eraseIf([pid](const Key &k) { return k.pid == pid; });
 }
 
 } // namespace clio

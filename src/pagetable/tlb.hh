@@ -10,10 +10,10 @@
 #define CLIO_PAGETABLE_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "pagetable/pte.hh"
+#include "sim/lru_index.hh"
 #include "sim/types.hh"
 
 namespace clio {
@@ -46,10 +46,8 @@ class Tlb
     /** Drop every entry of one process (address space teardown). */
     void invalidateProcess(ProcId pid);
 
-    std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t size() const {
-        return static_cast<std::uint32_t>(map_.size());
-    }
+    std::uint32_t capacity() const { return lru_.capacity(); }
+    std::uint32_t size() const { return lru_.size(); }
 
     /** @{ Hit/miss counters for stats and benches. */
     std::uint64_t hits() const { return hits_; }
@@ -73,26 +71,19 @@ class Tlb
 
     struct KeyHash
     {
-        std::size_t
+        std::uint64_t
         operator()(const Key &k) const
         {
-            // Mix pid into the vpn with a 64-bit multiply-shift.
-            std::uint64_t x = k.vpn * 0x9E3779B97F4A7C15ull + k.pid;
-            x ^= x >> 32;
-            return static_cast<std::size_t>(x);
+            // The pid lands above the vpn bits a mapping uses; the
+            // multiply spreads both into the top bits FlatIndex reads.
+            return (k.vpn ^ (std::uint64_t{k.pid} << 40)) *
+                   0x9E3779B97F4A7C15ull;
         }
     };
 
-    struct Entry
-    {
-        Pte pte;
-        std::list<Key>::iterator lru_pos;
-    };
-
-    std::uint32_t capacity_;
-    std::unordered_map<Key, Entry, KeyHash> map_;
-    /** Front = MRU, back = LRU. */
-    std::list<Key> lru_;
+    LruIndex<Key, KeyHash> lru_;
+    /** Cached PTE of each LRU slot. */
+    std::vector<Pte> ptes_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -68,9 +68,11 @@ PartTracker::add(std::uint32_t part, std::uint32_t total_parts)
         return Verdict::kMalformed;
     if (total_ == 0) {
         total_ = total_parts;
-        seen_bits_.assign((total_parts + 63) / 64, 0);
+        if (total_parts > 64)
+            spill_bits_.assign((total_parts - 1) / 64, 0);
     }
-    std::uint64_t &word = seen_bits_[part >> 6];
+    std::uint64_t &word =
+        part < 64 ? low_bits_ : spill_bits_[(part >> 6) - 1];
     const std::uint64_t bit = 1ull << (part & 63);
     if (word & bit)
         return Verdict::kDuplicate;
@@ -84,7 +86,8 @@ PartTracker::reset()
 {
     seen_ = 0;
     total_ = 0;
-    seen_bits_.clear();
+    low_bits_ = 0;
+    spill_bits_.clear();
 }
 
 HeartbeatSource::HeartbeatSource(EventQueue &eq, Network &net, Stamp stamp)

@@ -56,13 +56,17 @@ class PartTracker
     Verdict add(std::uint32_t part, std::uint32_t total_parts);
     /** Whether every part of the message has arrived. */
     bool complete() const { return total_ != 0 && seen_ == total_; }
-    /** Forget every part (the bitmap keeps its capacity for reuse). */
+    /** Forget every part (the spill bitmap keeps its capacity). */
     void reset();
 
   private:
     std::uint32_t seen_ = 0;
     std::uint32_t total_ = 0;
-    std::vector<std::uint64_t> seen_bits_;
+    /** Parts 0-63, which is every part of all but the largest
+     * messages, so tracking them allocates nothing. */
+    std::uint64_t low_bits_ = 0;
+    /** Parts 64 and up, for messages of more than 64 parts. */
+    std::vector<std::uint64_t> spill_bits_;
 };
 
 /**

@@ -564,6 +564,96 @@ TEST(Integration, MalformedResponsePartsDropped)
     EXPECT_EQ(cluster.cn(0).stats().malformed_parts_dropped, 1u);
 }
 
+TEST(Integration, ReadFaultingMidRangeAnswersHeaderOnly)
+{
+    // A read copies its data into the response while it translates. One
+    // that runs from a mapped page into an unmapped one must drop what
+    // it copied and answer kBadAddress with a bare header.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const std::uint64_t page = cluster.mn(0).config().page_table.page_size;
+    const VirtAddr addr = client.ralloc(page).value_or(0);
+    ASSERT_NE(addr, 0u);
+    const std::vector<std::uint8_t> data(256, 0x5A);
+    ASSERT_EQ(client.rwrite(addr + page - 256, data.data(), data.size()),
+              Status::kOk);
+    std::uint8_t probe = 0;
+    ASSERT_EQ(client.rread(addr + page, &probe, 1), Status::kBadAddress);
+
+    const NetStats before = cluster.network().stats();
+    std::vector<std::uint8_t> out(512);
+    EXPECT_EQ(client.rread(addr + page - 256, out.data(), out.size()),
+              Status::kBadAddress);
+    const NetStats &after = cluster.network().stats();
+    EXPECT_EQ(after.delivered - before.delivered, 2u);
+    EXPECT_EQ(after.bytes_delivered - before.bytes_delivered,
+              2u * kPacketHeaderBytes);
+}
+
+TEST(Integration, ReadLengthFarPastTheMappingAllocatesNothing)
+{
+    // The response grows page by page as the read translates, so a
+    // length far past anything mapped (1 PiB, more than any host can
+    // allocate) answers kBadAddress instead of sizing a buffer for it.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+    std::uint64_t out = 0;
+    EXPECT_EQ(client.rread(addr, &out, 1ull << 50), Status::kBadAddress);
+}
+
+TEST(Integration, AbandonedInflightEntryIsCollectedAndSlotReused)
+{
+    // Drop part 1 of the first 2-part write: the MN keeps a half-built
+    // entry under that attempt's id while the CN retries under a new one.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+    bool dropped = false;
+    cluster.network().setFaultHook([&](const Packet &pkt) {
+        FaultVerdict v;
+        if (!dropped && pkt.type == MsgType::kWrite && pkt.part == 1) {
+            v.drop = true;
+            dropped = true;
+        }
+        return v;
+    });
+    const std::uint64_t mtu = cluster.network().config().mtu;
+    const std::vector<std::uint8_t> first(mtu, 0x11); // 2 parts
+    ASSERT_EQ(client.rwrite(addr, first.data(), first.size()), Status::kOk);
+    ASSERT_TRUE(dropped);
+    EXPECT_EQ(client.cnode().stats().retries, 1u);
+    EXPECT_EQ(mn.inflightEntries(), 1u);
+    cluster.network().setFaultHook(nullptr);
+
+    // The GC drops entries idle for 10x the client timeout, checking
+    // once every 4096 packets.
+    EventQueue &eq = cluster.eventQueue();
+    eq.runUntilTime(eq.now() + 10 * mn.config().clib.timeout + 1);
+    std::uint64_t word = 0;
+    for (int i = 0; i < 4096; i++)
+        ASSERT_EQ(client.rread(addr, &word, sizeof(word)), Status::kOk);
+    EXPECT_EQ(mn.inflightEntries(), 0u);
+
+    // Multi-part writes and reads through the recycled slots.
+    Rng rng(5);
+    const std::uint64_t sizes[] = {3000, 2 * mtu, 5000};
+    for (const std::uint64_t size : sizes) {
+        std::vector<std::uint8_t> in(size);
+        for (auto &b : in)
+            b = static_cast<std::uint8_t>(rng.next());
+        const VirtAddr at = addr + rng.uniformInt(4 * MiB - size);
+        ASSERT_EQ(client.rwrite(at, in.data(), size), Status::kOk);
+        std::vector<std::uint8_t> out(size);
+        ASSERT_EQ(client.rread(at, out.data(), size), Status::kOk);
+        EXPECT_EQ(out, in);
+    }
+    EXPECT_EQ(mn.inflightEntries(), 0u);
+}
+
 TEST(Integration, LatencyMatchesPaperBallpark)
 {
     // §7.1: 16 B reads ~2.5 us median end to end on the prototype.

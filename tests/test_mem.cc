@@ -37,6 +37,24 @@ TEST(PhysicalMemory, UntouchedReadsZero)
     EXPECT_EQ(mem.materializedChunks(), 0u);
 }
 
+TEST(PhysicalMemory, FreshChunkIsZeroAroundFirstWrite)
+{
+    // The first write materializes its 64 KiB chunk; every byte the
+    // write did not cover must read zero, not leftover heap contents.
+    PhysicalMemory mem(1 * MiB);
+    const PhysAddr chunk = 3 * 64 * KiB;
+    mem.write64(chunk + 32 * KiB, 0x0123456789ABCDEFull);
+    ASSERT_EQ(mem.materializedChunks(), 1u);
+    std::vector<std::uint8_t> out(64 * KiB, 0xAB);
+    mem.read(chunk, out.data(), out.size());
+    for (std::size_t i = 0; i < out.size(); i++) {
+        if (i < 32 * KiB || i >= 32 * KiB + 8) {
+            ASSERT_EQ(out[i], 0) << "byte " << i;
+        }
+    }
+    EXPECT_EQ(mem.read64(chunk + 32 * KiB), 0x0123456789ABCDEFull);
+}
+
 TEST(PhysicalMemory, CrossChunkAccess)
 {
     PhysicalMemory mem(1 * MiB);

@@ -324,6 +324,38 @@ TEST(Wire, SplitCoversPayloadExactly)
     EXPECT_EQ(covered, payload);
 }
 
+TEST(Wire, PartTrackerSpillsPastSixtyFourParts)
+{
+    using V = PartTracker::Verdict;
+    PartTracker parts;
+    const std::uint32_t total = 150;
+    // Odd parts first, high to low, so the spill words fill before the
+    // inline word is complete.
+    for (std::uint32_t p = total - 1; p < total; p -= 2)
+        ASSERT_EQ(parts.add(p, total), V::kNew) << p;
+    EXPECT_EQ(parts.add(149, total), V::kDuplicate);
+    EXPECT_EQ(parts.add(65, total), V::kDuplicate);
+    EXPECT_EQ(parts.add(150, total), V::kMalformed);  // past the count
+    EXPECT_EQ(parts.add(100, 151), V::kMalformed);    // count disagrees
+    EXPECT_EQ(parts.add(100, 100), V::kMalformed);    // both
+    for (std::uint32_t p = 0; p < total; p += 2) {
+        EXPECT_FALSE(parts.complete());
+        ASSERT_EQ(parts.add(p, total), V::kNew) << p;
+    }
+    EXPECT_TRUE(parts.complete());
+    EXPECT_EQ(parts.add(128, total), V::kDuplicate);
+    EXPECT_EQ(parts.add(0, total), V::kDuplicate);
+
+    // Reused for a one-part message: nothing of the old one lingers.
+    parts.reset();
+    EXPECT_FALSE(parts.complete());
+    EXPECT_EQ(parts.add(1, 1), V::kMalformed);
+    EXPECT_EQ(parts.add(0, 1), V::kNew);
+    EXPECT_TRUE(parts.complete());
+    EXPECT_EQ(parts.add(0, 1), V::kDuplicate);
+    EXPECT_EQ(parts.add(0, 150), V::kMalformed);
+}
+
 TEST(CNode, RetryGetsFreshIdKeepsOriginal)
 {
     // Total loss for the first attempt; capture ids at the MN.

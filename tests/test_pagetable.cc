@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -239,6 +241,114 @@ TEST(Tlb, ReinsertRefreshesLru)
     tlb.insert(makePte(1, 3, 0, kPermRead, true, true));
     EXPECT_NE(tlb.lookup(1, 1), nullptr); // survived, vpn2 evicted
     EXPECT_EQ(tlb.lookup(1, 2), nullptr);
+}
+
+/** Reference LRU for the differential test: a plain list, front = MRU,
+ * searched linearly. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+    const Pte *
+    lookup(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = find(pid, vpn);
+        if (it == lru_.end())
+            return nullptr;
+        lru_.splice(lru_.begin(), lru_, it);
+        return &lru_.front();
+    }
+
+    /** @return the evicted entry, if the insert evicted one. */
+    std::optional<Pte>
+    insert(const Pte &pte)
+    {
+        auto it = find(pte.pid, pte.vpn);
+        std::optional<Pte> victim;
+        if (it != lru_.end()) {
+            lru_.erase(it);
+        } else if (lru_.size() == capacity_) {
+            victim = lru_.back();
+            lru_.pop_back();
+        }
+        lru_.push_front(pte);
+        return victim;
+    }
+
+    void
+    invalidate(ProcId pid, std::uint64_t vpn)
+    {
+        auto it = find(pid, vpn);
+        if (it != lru_.end())
+            lru_.erase(it);
+    }
+
+    void
+    invalidateProcess(ProcId pid)
+    {
+        lru_.remove_if([pid](const Pte &p) { return p.pid == pid; });
+    }
+
+    std::size_t size() const { return lru_.size(); }
+
+  private:
+    std::list<Pte>::iterator
+    find(ProcId pid, std::uint64_t vpn)
+    {
+        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+            if (it->pid == pid && it->vpn == vpn)
+                return it;
+        }
+        return lru_.end();
+    }
+
+    std::size_t capacity_;
+    std::list<Pte> lru_;
+};
+
+TEST(Tlb, MatchesReferenceLruUnderRandomOps)
+{
+    // Fast-path-shaped traffic (lookup, fill on miss) mixed with
+    // refreshes and both invalidations, over more pages than fit.
+    Rng rng(77);
+    Tlb tlb(64);
+    ReferenceLru ref(64);
+    std::uint64_t hits = 0, victims = 0;
+    for (std::uint32_t op = 0; op < 200000; op++) {
+        const ProcId pid = static_cast<ProcId>(1 + rng.uniformInt(4));
+        const std::uint64_t vpn = rng.uniformInt(40);
+        const std::uint64_t kind = rng.uniformInt(100);
+        if (kind < 85) {
+            const Pte *got = tlb.lookup(pid, vpn);
+            const Pte *want = ref.lookup(pid, vpn);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op;
+            if (got) {
+                ASSERT_EQ(got->frame, want->frame);
+                hits++;
+                continue;
+            }
+        }
+        if (kind < 95) {
+            const Pte pte = makePte(pid, vpn, op * 4 * MiB, kPermRead, true,
+                                    true);
+            tlb.insert(pte);
+            if (auto victim = ref.insert(pte)) {
+                // The same entry left the TLB (a miss promotes nothing).
+                ASSERT_EQ(tlb.lookup(victim->pid, victim->vpn), nullptr);
+                victims++;
+            }
+        } else if (kind < 99) {
+            tlb.invalidate(pid, vpn);
+            ref.invalidate(pid, vpn);
+        } else {
+            tlb.invalidateProcess(pid);
+            ref.invalidateProcess(pid);
+        }
+        ASSERT_EQ(tlb.size(), ref.size()) << "op " << op;
+    }
+    EXPECT_GT(hits, 10000u);
+    EXPECT_GT(victims, 10000u);
 }
 
 } // namespace

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the simulation core: event queue ordering, RNG
- * determinism and distributions, histogram percentiles, types helpers.
+ * determinism and distributions, histogram percentiles, types helpers,
+ * and the flat key -> slot index.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -478,6 +481,107 @@ TEST(Throughput, GbpsComputation)
     EXPECT_DOUBLE_EQ(m.mops(kSecond), 1e-6);
     m.reset();
     EXPECT_EQ(m.bytes(), 0u);
+}
+
+/** Places key k in home cell k % 16 of a 16-cell FlatIndex, so tests
+ * can lay out probe clusters by hand. */
+struct HomeHash
+{
+    std::uint64_t
+    operator()(std::uint64_t key) const
+    {
+        return (key & 15) << 60;
+    }
+};
+
+TEST(FlatIndex, CollidingKeysStayFindable)
+{
+    // Every key hashes to one home cell: one probe cluster holds all.
+    struct SameHash
+    {
+        std::uint64_t operator()(std::uint64_t) const { return 0; }
+    };
+    FlatIndex<std::uint64_t, SameHash> idx;
+    for (std::uint32_t k = 0; k < 100; k++)
+        ASSERT_TRUE(idx.insert(k * 7919, k));
+    EXPECT_FALSE(idx.insert(7919, 5)); // present: unchanged
+    EXPECT_EQ(idx.find(7919), 1u);
+    for (std::uint32_t k = 0; k < 100; k += 3)
+        ASSERT_TRUE(idx.erase(k * 7919));
+    EXPECT_FALSE(idx.erase(0));
+    for (std::uint32_t k = 0; k < 100; k++)
+        EXPECT_EQ(idx.find(k * 7919), k % 3 == 0 ? idx.kNone : k);
+    EXPECT_EQ(idx.size(), 66u);
+}
+
+TEST(FlatIndex, EraseInsideClusterThatWrapsPastTheEnd)
+{
+    FlatIndex<std::uint64_t, HomeHash> idx(4); // 16 cells
+    // Cells 14, 15, 0, 1 and 2 form one cluster that wraps:
+    // 14 -> 14, 30 -> 15 (home 14), 46 -> 0 (home 14),
+    // 15 -> 1 (home 15), 2 -> 2 (home 2, must not move).
+    for (std::uint64_t k : {14, 30, 46, 15, 2})
+        ASSERT_TRUE(idx.insert(k, static_cast<std::uint32_t>(k)));
+    ASSERT_TRUE(idx.erase(14));
+    for (std::uint64_t k : {30, 46, 15, 2})
+        EXPECT_EQ(idx.find(k), k);
+    EXPECT_EQ(idx.find(14), idx.kNone);
+    // Erase at the wrapped end of the cluster, then refill the holes.
+    ASSERT_TRUE(idx.erase(46));
+    EXPECT_EQ(idx.find(15), 15u);
+    EXPECT_EQ(idx.find(2), 2u);
+    ASSERT_TRUE(idx.insert(62, 62)); // home 14
+    ASSERT_TRUE(idx.insert(31, 31)); // home 15
+    for (std::uint64_t k : {30, 15, 2, 62, 31})
+        EXPECT_EQ(idx.find(k), k);
+    EXPECT_EQ(idx.size(), 5u);
+}
+
+TEST(FlatIndex, RehashKeepsEveryEntry)
+{
+    FlatIndex<std::uint64_t> idx;
+    const std::uint64_t stride = (1ull << 40) + 3;
+    for (std::uint32_t i = 0; i < 20000; i++) {
+        ASSERT_TRUE(idx.insert(i * stride, i));
+        if ((i & (i + 1)) == 0) { // just grew past a power of two
+            for (std::uint32_t j = 0; j <= i; j++)
+                ASSERT_EQ(idx.find(j * stride), j);
+        }
+    }
+    EXPECT_EQ(idx.size(), 20000u);
+    for (std::uint32_t i = 0; i < 20000; i++)
+        ASSERT_EQ(idx.find(i * stride), i);
+    idx.clear();
+    EXPECT_EQ(idx.size(), 0u);
+    EXPECT_EQ(idx.find(stride), idx.kNone);
+}
+
+TEST(FlatIndex, MatchesUnorderedMapUnderRandomOps)
+{
+    // Differential test: 10^5 seeded insert/erase/find ops over a key
+    // range small enough that inserts collide and erases hit often.
+    Rng rng(20240817);
+    FlatIndex<std::uint64_t> idx;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    for (std::uint32_t op = 0; op < 100000; op++) {
+        const std::uint64_t key = rng.uniformInt(4096) * 0x10001;
+        const std::uint32_t slot = static_cast<std::uint32_t>(op);
+        switch (rng.uniformInt(3)) {
+          case 0:
+            ASSERT_EQ(idx.insert(key, slot), ref.emplace(key, slot).second);
+            break;
+          case 1:
+            ASSERT_EQ(idx.erase(key), ref.erase(key) == 1);
+            break;
+          default: {
+            auto it = ref.find(key);
+            ASSERT_EQ(idx.find(key), it == ref.end() ? idx.kNone : it->second);
+          }
+        }
+        ASSERT_EQ(idx.size(), ref.size());
+    }
+    for (const auto &[key, slot] : ref)
+        ASSERT_EQ(idx.find(key), slot);
 }
 
 } // namespace
