@@ -176,6 +176,11 @@ CBoard::onPacket(Packet pkt)
         return;
     }
 
+    clio_assert(pkt.type != MsgType::kResponse &&
+                    pkt.type != MsgType::kNack &&
+                    pkt.type != MsgType::kHeartbeat,
+                "MN received a non-request packet");
+
     // Epoch fence (split-brain guard): a request stamped with an epoch
     // older than this board's rejoin epoch comes from a client that has
     // not yet learned the board died and came back empty — reject it
@@ -183,74 +188,60 @@ CBoard::onPacket(Packet pkt)
     // Every packet of a fenced request is answered identically (the
     // board keeps no per-request state for them); the CN completes on
     // the first response and drops the rest as stale.
-    const bool is_request = pkt.type != MsgType::kResponse &&
-                            pkt.type != MsgType::kNack &&
-                            pkt.type != MsgType::kHeartbeat;
-    if (epoch_fence_ != 0 && is_request) {
-        const auto &req = static_cast<const RequestMsg &>(*pkt.msg);
-        if (req.epoch < epoch_fence_) {
-            stats_.epoch_fenced++;
-            auto resp = resp_pool_.acquire();
-            resp->req_id = pkt.req_id;
-            resp->status = Status::kEpochFenced;
-            const Tick when = eq_.now() + cfg_.fast_path.mac_latency +
-                              cfg_.fast_path.parse_cycles *
-                                  cfg_.fast_path.cycle;
-            respondAt(when, pkt.src, pkt.req_id, std::move(resp));
-            return;
-        }
+    if (epoch_fence_ != 0 &&
+        static_cast<const RequestMsg &>(*pkt.msg).epoch < epoch_fence_) {
+        stats_.epoch_fenced++;
+        auto resp = resp_pool_.acquire();
+        resp->req_id = pkt.req_id;
+        resp->status = Status::kEpochFenced;
+        const Tick when = eq_.now() + cfg_.fast_path.mac_latency +
+                          cfg_.fast_path.parse_cycles * cfg_.fast_path.cycle;
+        respondAt(when, pkt.src, pkt.req_id, std::move(resp));
+        return;
     }
 
-    switch (pkt.type) {
-      case MsgType::kRead:
-      case MsgType::kWrite:
-      case MsgType::kAtomic:
-      case MsgType::kFence: {
-        const std::uint32_t slot = inflightSlot(pkt.req_id);
-        Inflight &inflight = inflight_[slot];
-        if (!acceptPart(pkt, inflight))
-            break;
-        if (!inflight.parts.complete()) {
-            fastPathPacket(pkt, inflight, nullptr);
-            break;
-        }
-        const auto &req = *inflight.req;
-        auto resp = resp_pool_.acquire();
-        fastPathPacket(pkt, inflight, resp.get());
-        resp->req_id = req.req_id;
-        resp->status = inflight.status;
-        if (inflight.status != Status::kOk)
-            resp->data.clear(); // a failed read answers header-only
-        else if (req.type == MsgType::kAtomic)
-            resp->value = inflight.atomic_result;
-        // Record non-idempotent completions in the dedup buffer under
-        // the ORIGINAL attempt id (T4).
-        if (inflight.status == Status::kOk && !inflight.suppressed) {
-            if (req.type == MsgType::kWrite)
-                dedup_.record(req.orig_req_id);
-            else if (req.type == MsgType::kAtomic)
-                dedup_.record(req.orig_req_id, inflight.atomic_result);
-        }
-        const Tick when = inflight.done +
-                          cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle +
-                          cfg_.fast_path.mac_latency;
-        last_op_done_ = std::max(last_op_done_, inflight.done);
-        respondAt(when, req.src, req.req_id, std::move(resp));
-        releaseInflight(slot);
-        break;
-      }
-      case MsgType::kAlloc:
-      case MsgType::kFree:
-        slowPathPacket(pkt);
-        break;
-      case MsgType::kOffload:
-        extendPathPacket(pkt);
-        break;
-      case MsgType::kResponse:
-      case MsgType::kNack:
-      case MsgType::kHeartbeat:
-        clio_panic("MN received a non-request packet");
+    // Every request is admitted part by part into its inflight entry,
+    // then served by its path: the fast path per part, the slow and
+    // extend paths once the request is complete.
+    const std::uint32_t slot = inflightSlot(pkt.req_id);
+    Inflight &inflight = inflight_[slot];
+    if (!acceptPart(pkt, inflight))
+        return;
+    if (pkt.type == MsgType::kOffload) {
+        extendPathPacket(pkt, slot);
+        return;
     }
+    if (pkt.type == MsgType::kAlloc || pkt.type == MsgType::kFree) {
+        if (inflight.parts.complete()) {
+            slowPathRequest(inflight);
+            releaseInflight(slot);
+        }
+        return;
+    }
+    if (!inflight.parts.complete()) {
+        fastPathPacket(pkt, inflight, nullptr);
+        return;
+    }
+    const auto &req = *inflight.req;
+    auto resp = resp_pool_.acquire();
+    fastPathPacket(pkt, inflight, resp.get());
+    resp->req_id = req.req_id;
+    resp->status = inflight.status;
+    if (inflight.status != Status::kOk)
+        resp->data.clear(); // a failed read answers header-only
+    else if (req.type == MsgType::kAtomic)
+        resp->value = inflight.value;
+    // Record non-idempotent completions in the dedup buffer under the
+    // ORIGINAL attempt id (T4).
+    if (inflight.status == Status::kOk && !inflight.suppressed &&
+        (req.type == MsgType::kWrite || req.type == MsgType::kAtomic))
+        dedup_.record(req.orig_req_id, inflight.value);
+    const Tick when = inflight.done +
+                      cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle +
+                      cfg_.fast_path.mac_latency;
+    last_op_done_ = std::max(last_op_done_, inflight.done);
+    respondAt(when, req.src, req.req_id, std::move(resp));
+    releaseInflight(slot);
 }
 
 bool
@@ -282,12 +273,18 @@ CBoard::acceptPart(const Packet &pkt, Inflight &inflight)
     }
     if (!inflight.req) {
         inflight.req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
-        // Dedup check happens once per request (T4): a retried
-        // write/atomic whose original executed is suppressed.
-        if ((req.type == MsgType::kWrite || req.type == MsgType::kAtomic) &&
-            dedup_.find(req.orig_req_id)) {
-            inflight.suppressed = true;
-            dedup_.noteSuppressed();
+        // Dedup check happens once per request (T4): a duplicate or
+        // retry of a write/atomic/alloc/free whose original executed is
+        // suppressed and replies with the original's value.
+        const bool non_idempotent =
+            req.type == MsgType::kWrite || req.type == MsgType::kAtomic ||
+            req.type == MsgType::kAlloc || req.type == MsgType::kFree;
+        if (non_idempotent) {
+            if (auto cached = dedup_.find(req.orig_req_id)) {
+                inflight.suppressed = true;
+                inflight.value = *cached;
+                dedup_.noteSuppressed();
+            }
         }
     }
     return true;
@@ -442,7 +439,7 @@ CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight,
                     memory_.write64(pa, req.arg1);
                 break;
             }
-            inflight.atomic_result = old;
+            inflight.value = old;
             atomic_free_ = t;
         }
         break;
@@ -678,9 +675,9 @@ CBoard::slowPathFree(ProcId pid, VirtAddr addr, ResponseMsg &resp)
 }
 
 void
-CBoard::slowPathPacket(const Packet &pkt)
+CBoard::slowPathRequest(const Inflight &inflight)
 {
-    auto req = std::static_pointer_cast<const RequestMsg>(pkt.msg);
+    const RequestMsg &req = *inflight.req;
     const FastPathConfig &fp = cfg_.fast_path;
 
     // Ingress + MAT + crossing to the ARM; one polling worker at a
@@ -690,22 +687,26 @@ CBoard::slowPathPacket(const Packet &pkt)
     t = std::max(t, std::max(arm_free_, gate_open_));
 
     auto resp = resp_pool_.acquire();
-    resp->req_id = req->req_id;
-    Tick cost = 0;
-    if (req->type == MsgType::kAlloc) {
-        cost = slowPathAlloc(req->pid, req->size, req->perm, *resp,
-                             req->populate);
+    resp->req_id = req.req_id;
+    if (inflight.suppressed) {
+        // Replay: the original executed and succeeded (T4).
+        resp->status = Status::kOk;
+        resp->value = inflight.value;
     } else {
-        cost = slowPathFree(req->pid, req->addr, *resp);
+        t += req.type == MsgType::kAlloc
+                 ? slowPathAlloc(req.pid, req.size, req.perm, *resp,
+                                 req.populate)
+                 : slowPathFree(req.pid, req.addr, *resp);
+        if (resp->status == Status::kOk)
+            dedup_.record(req.orig_req_id, resp->value);
     }
-    t += cost;
     arm_free_ = t;
 
     // Crossing back + response emission.
     t += cfg_.slow_path.interconnect_crossing +
          fp.respond_cycles * fp.cycle + fp.mac_latency;
     last_op_done_ = std::max(last_op_done_, t);
-    respondAt(t, req->src, req->req_id, std::move(resp));
+    respondAt(t, req.src, req.req_id, std::move(resp));
 }
 
 // ---------------------------------------------------------------------
@@ -730,12 +731,9 @@ CBoard::registerOffloadShared(OffloadDescriptor desc,
 }
 
 void
-CBoard::extendPathPacket(const Packet &pkt)
+CBoard::extendPathPacket(const Packet &pkt, std::uint32_t slot)
 {
-    const std::uint32_t slot = inflightSlot(pkt.req_id);
     Inflight &inflight = inflight_[slot];
-    if (!acceptPart(pkt, inflight))
-        return;
     const FastPathConfig &fp = cfg_.fast_path;
     inflight.done =
         std::max(inflight.done,

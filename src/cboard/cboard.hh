@@ -257,10 +257,11 @@ class CBoard
         Tick done = 0;
         /** Set when any part failed translation/permission. */
         Status status = Status::kOk;
-        /** Duplicate write suppressed by the dedup buffer. */
+        /** Duplicate or retry suppressed by the dedup buffer. */
         bool suppressed = false;
-        /** Old value returned by an atomic. */
-        std::uint64_t atomic_result = 0;
+        /** Reply value: an atomic's old value, or the cached value a
+         * suppressed request replays. */
+        std::uint64_t value = 0;
         /** Arrival tick of the most recent packet: an abandoned
          * request (remaining packets lost, client retried under a new
          * id) stops receiving packets, which is what the GC keys on.
@@ -293,7 +294,8 @@ class CBoard
 
     /** Admit one request packet into its inflight entry: drop (and
      * count) a duplicated or malformed part, else record it. The first
-     * accepted part binds the request and runs the dedup check.
+     * accepted part binds the request and runs the dedup check for
+     * writes, atomics, allocs and frees.
      * @return whether the part is new and should be processed. */
     bool acceptPart(const Packet &pkt, Inflight &inflight);
 
@@ -338,11 +340,12 @@ class CBoard
                    std::uint64_t *moved = nullptr,
                    std::vector<std::uint8_t> *read_out = nullptr);
 
-    /** Handle a slow-path request (alloc/free) end to end. */
-    void slowPathPacket(const Packet &pkt);
+    /** Run a complete slow-path request (alloc/free) and respond. */
+    void slowPathRequest(const Inflight &inflight);
 
-    /** Handle an extend-path (offload) request. */
-    void extendPathPacket(const Packet &pkt);
+    /** Handle one accepted extend-path (offload) packet of the request
+     * in inflight slot `slot`. */
+    void extendPathPacket(const Packet &pkt, std::uint32_t slot);
 
     /** Send a response message back to `dst` at tick `when`. */
     void respondAt(Tick when, NodeId dst, ReqId req_id,

@@ -11,7 +11,7 @@ DedupBuffer::DedupBuffer(std::uint32_t capacity)
 }
 
 void
-DedupBuffer::record(ReqId req_id, std::uint64_t atomic_result)
+DedupBuffer::record(ReqId req_id, std::uint64_t value)
 {
     if (index_.find(req_id) != index_.kNone)
         return; // already recorded (e.g. duplicate delivery)
@@ -20,7 +20,7 @@ DedupBuffer::record(ReqId req_id, std::uint64_t atomic_result)
         index_.erase(slot.req_id); // evict the oldest
     else
         size_++;
-    slot = Entry{req_id, atomic_result};
+    slot = Entry{req_id, value};
     index_.insert(req_id, next_);
     next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
 }
@@ -31,7 +31,7 @@ DedupBuffer::find(ReqId req_id) const
     const std::uint32_t slot = index_.find(req_id);
     if (slot == index_.kNone)
         return std::nullopt;
-    return ring_[slot].result;
+    return ring_[slot].value;
 }
 
 } // namespace clio

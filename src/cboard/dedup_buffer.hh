@@ -1,10 +1,10 @@
 /**
  * @file
  * Request-id dedup buffer (§4.5 T4): a small ring recording the ids of
- * recently executed non-idempotent requests (writes, atomics) and the
- * cached results of atomics. A retry carries the original attempt's id;
- * if the MN finds it here, it skips execution and replays the cached
- * result. Capacity is statically sized from 3 x TIMEOUT x bandwidth —
+ * recently executed non-idempotent requests (writes, atomics, allocs,
+ * frees, offloads) and the value each replied with. A retry carries the
+ * original attempt's id; if the MN finds it here, it skips execution
+ * and replays the cached value. Capacity is statically sized from 3 x TIMEOUT x bandwidth —
  * one of only two pieces of state the MN keeps, independent of client
  * count.
  */
@@ -21,7 +21,7 @@
 
 namespace clio {
 
-/** Ring buffer of executed (write/atomic) request ids + atomic results. */
+/** Ring buffer of executed non-idempotent request ids + reply values. */
 class DedupBuffer
 {
   public:
@@ -30,13 +30,14 @@ class DedupBuffer
     /**
      * Record an executed non-idempotent request.
      * @param req_id the ORIGINAL attempt id (retries carry it along).
-     * @param atomic_result cached value for atomics (0 for writes).
+     * @param value the reply's value register: an atomic's old value,
+     *        an alloc's address (0 for writes and frees).
      */
-    void record(ReqId req_id, std::uint64_t atomic_result = 0);
+    void record(ReqId req_id, std::uint64_t value = 0);
 
     /**
      * Check whether `req_id` was already executed.
-     * @return the cached atomic result when found; nullopt otherwise.
+     * @return the cached reply value when found; nullopt otherwise.
      */
     std::optional<std::uint64_t> find(ReqId req_id) const;
 
@@ -53,7 +54,7 @@ class DedupBuffer
     struct Entry
     {
         ReqId req_id = 0;
-        std::uint64_t result = 0;
+        std::uint64_t value = 0;
     };
 
     /** Recorded requests in insertion order, oldest at `next_` once

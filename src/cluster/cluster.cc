@@ -8,42 +8,29 @@
 
 namespace clio {
 
-Cluster::Cluster(const ModelConfig &cfg, std::uint32_t num_cns,
-                 std::uint32_t num_mns, std::uint64_t mn_phys_bytes)
-    : cfg_(cfg), eq_(cfg.event_queue_impl),
-      net_(eq_, cfg.net, cfg.seed * 7919 + 1)
-{
-    clio_assert(num_cns > 0 && num_mns > 0, "cluster needs CNs and MNs");
-    for (std::uint32_t i = 0; i < num_mns; i++) {
-        mns_.push_back(
-            std::make_unique<CBoard>(eq_, net_, cfg_, mn_phys_bytes));
-        attachMnHooks(i, num_mns > 1);
-    }
-    for (std::uint32_t i = 0; i < num_cns; i++)
-        cns_.push_back(std::make_unique<CNode>(eq_, net_, cfg_));
-    if (cfg_.health.enabled)
-        health_ = std::make_unique<HealthPlane>(*this);
-}
-
 Cluster::Cluster(const ModelConfig &cfg, const ClusterSpec &spec)
     : cfg_(cfg), eq_(cfg.event_queue_impl),
-      net_(eq_, cfg.net, cfg.seed * 7919 + 1), sharded_(true),
-      shard_map_(spec.shard_vnodes)
+      net_(eq_, cfg.net, cfg.seed * 7919 + 1), sharded_(spec.racks > 1)
 {
     clio_assert(spec.racks > 0 && spec.cns_per_rack > 0 &&
                     spec.mns_per_rack > 0,
                 "cluster spec needs racks, CNs, and MNs");
     const std::uint32_t total_mns = spec.racks * spec.mns_per_rack;
-    // MNs first, then CNs, exactly like the legacy constructor, so
-    // node-id assignment stays deterministic across cluster shapes.
+    // MNs first, then CNs, so node-id assignment stays deterministic
+    // across cluster shapes.
     for (RackId rack = 0; rack < spec.racks; rack++) {
         for (std::uint32_t i = 0; i < spec.mns_per_rack; i++) {
             const std::uint32_t idx =
                 static_cast<std::uint32_t>(mns_.size());
             mns_.push_back(std::make_unique<CBoard>(
                 eq_, net_, cfg_, spec.mn_phys_bytes, rack));
-            attachMnHooks(idx, total_mns > 1);
-            shard_map_.addMn(idx, rack);
+            mns_[idx]->setWindowedMode(total_mns > 1);
+            mns_[idx]->setWindowRequestHook(
+                [this, idx](ProcId pid, std::uint64_t size) {
+                    return grantWindows(pid, idx, size);
+                });
+            if (sharded_)
+                shard_map_.addMn(idx, rack);
         }
     }
     for (RackId rack = 0; rack < spec.racks; rack++) {
@@ -56,17 +43,6 @@ Cluster::Cluster(const ModelConfig &cfg, const ClusterSpec &spec)
 }
 
 Cluster::~Cluster() = default;
-
-void
-Cluster::attachMnHooks(std::uint32_t mn_idx, bool windowed)
-{
-    CBoard *board = mns_[mn_idx].get();
-    board->setWindowedMode(windowed);
-    board->setWindowRequestHook(
-        [this, mn_idx](ProcId pid, std::uint64_t size) {
-            return grantWindows(pid, mn_idx, size);
-        });
-}
 
 std::uint32_t
 Cluster::mnIndexOf(NodeId node) const
@@ -239,7 +215,6 @@ Cluster::restoreRack(RackId rack)
 std::uint32_t
 Cluster::homeMnOf(ProcId pid) const
 {
-    clio_assert(sharded_, "home directory only exists in sharded mode");
     clio_assert(pid < pid_home_mn_.size() &&
                     pid_home_mn_[pid] != kNoOwner,
                 "pid %u has no directory entry", pid);
@@ -250,23 +225,19 @@ ClioClient &
 Cluster::createClient(std::uint32_t cn_index)
 {
     const ProcId pid = next_pid_++;
-    std::uint32_t home;
-    if (sharded_) {
-        // Shard-map placement: a process' home MN is the ring owner
-        // of its key, preferring an MN in the CN's own rack (§4.7
-        // scaled out). The directory keeps 4 bytes per process.
-        const RackId rack = net_.rackOf(cns_.at(cn_index)->nodeId());
-        home = shard_map_.ownerNear(pid, 0, rack);
-        if (pid >= pid_home_mn_.size()) {
-            pid_home_mn_.resize(
-                std::max<std::size_t>(pid + 1, pid_home_mn_.size() * 2),
-                kNoOwner);
-        }
-        pid_home_mn_[pid] = home;
-    } else {
-        home = rr_next_mn_;
-        rr_next_mn_ = (rr_next_mn_ + 1) % mns_.size();
+    // One rack: the paper's controller homes processes round-robin.
+    // Several racks: the home is the ring owner of the pid's key,
+    // preferring an MN in the CN's own rack (§4.7 scaled out).
+    const std::uint32_t home =
+        sharded_ ? shard_map_.ownerNear(
+                       pid, 0, net_.rackOf(cns_.at(cn_index)->nodeId()))
+                 : (pid - 1) % mnCount();
+    if (pid >= pid_home_mn_.size()) {
+        pid_home_mn_.resize(
+            std::max<std::size_t>(pid + 1, pid_home_mn_.size() * 2),
+            kNoOwner);
     }
+    pid_home_mn_[pid] = home;
     return addClient(std::make_unique<ClioClient>(cn(cn_index), pid,
                                                   mns_[home]->nodeId()));
 }
@@ -338,8 +309,6 @@ Cluster::regionOwnerIdx(ProcId pid, VirtAddr region_start) const
     auto it = region_owner_.find({pid, region_start});
     if (it != region_owner_.end())
         return it->second;
-    if (!sharded_)
-        return kNoOwner;
     // Prediction: any granted, unmigrated region belongs to the pid's
     // directory home MN.
     const std::uint64_t region = cfg_.dist.region_size;
@@ -366,11 +335,12 @@ Cluster::grantWindows(ProcId pid, std::uint32_t mn_idx,
     const VirtAddr start = next * region;
     next += count;
     mns_[mn_idx]->vaAllocator().addWindow(pid, start, count * region);
-    // Sharded mode keeps O(1) controller state per process: the
-    // directory predicts the home MN as owner, so only off-home grants
-    // (replication targets, offload RASes) need explicit entries.
-    const bool predicted = sharded_ && pid < pid_home_mn_.size() &&
-                           pid_home_mn_[pid] == mn_idx;
+    // O(1) controller state per process: the directory predicts the
+    // home MN as owner, so only off-home grants (least-pressured
+    // placements, replication targets, offload RASes) need explicit
+    // entries.
+    const bool predicted =
+        pid < pid_home_mn_.size() && pid_home_mn_[pid] == mn_idx;
     if (!predicted) {
         for (std::uint64_t j = 0; j < count; j++)
             region_owner_[{pid, start + j * region}] = mn_idx;
@@ -461,9 +431,9 @@ Cluster::migrateRegion(ProcId pid, std::uint32_t src_mn,
         }
     }
 
-    // Controller bookkeeping + push routing updates to clients. In
-    // sharded mode this creates the region's exception entry (it no
-    // longer matches the directory prediction).
+    // Controller bookkeeping + push routing updates to clients: the
+    // region gets an exception entry (it no longer matches the
+    // directory prediction).
     region_owner_[{pid, region_start}] = dst_mn;
     for (auto &client : clients_) {
         if (client->pid() == pid)
@@ -490,8 +460,8 @@ Cluster::balancePressure()
     for (std::uint32_t i = 0; i < mns_.size(); i++) {
         while (mns_[i]->memoryPressure() > limit) {
             // Migrate any region with data away from the hot MN. The
-            // exception map alone is not enough in sharded mode (most
-            // regions are only predicted), so walk each client's pid.
+            // exception map alone is not enough (most regions are only
+            // predicted), so walk each client's pid.
             MigrationReport done;
             for (const auto &client : clients_) {
                 const ProcId pid = client->pid();

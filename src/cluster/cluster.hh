@@ -33,9 +33,9 @@ namespace clio {
 class HealthPlane;
 
 /**
- * Multi-rack cluster geometry. Each rack gets its own ToR (leaf)
- * switch; racks are joined through the spine (see net/network.hh).
- * With racks == 1 the fabric degenerates to the single-ToR testbed.
+ * Cluster geometry. Each rack gets its own ToR (leaf) switch; racks are
+ * joined through the spine (see net/network.hh). With racks == 1 the
+ * fabric degenerates to the single-ToR testbed.
  */
 struct ClusterSpec
 {
@@ -44,8 +44,6 @@ struct ClusterSpec
     std::uint32_t mns_per_rack = 1;
     /** Per-MN DRAM (0 = config default 2 GB). */
     std::uint64_t mn_phys_bytes = 0;
-    /** Consistent-hash ring points per MN (shard map smoothness). */
-    std::uint32_t shard_vnodes = 64;
 };
 
 /** Result of one region migration (bench/reporting). */
@@ -60,25 +58,29 @@ struct MigrationReport
     std::uint32_t dst_mn = 0;
 };
 
-/** A simulated Clio deployment: CNs + MNs on one ToR switch. */
+/** A simulated Clio deployment: CNs + MNs on one or more racks. */
 class Cluster
 {
   public:
-    /**
-     * Single-rack cluster with the controller's original
-     * least-pressured allocation placement.
-     * @param mn_phys_bytes per-MN DRAM (0 = config default 2 GB).
-     */
+    /** One rack: `ClusterSpec{1, num_cns, num_mns, mn_phys_bytes}`. */
     Cluster(const ModelConfig &cfg, std::uint32_t num_cns,
-            std::uint32_t num_mns, std::uint64_t mn_phys_bytes = 0);
+            std::uint32_t num_mns, std::uint64_t mn_phys_bytes = 0)
+        : Cluster(cfg, ClusterSpec{1, num_cns, num_mns, mn_phys_bytes})
+    {
+    }
 
     /**
-     * Multi-rack sharded cluster: nodes are spread over spec.racks
-     * racks, and processes are placed over MNs by the consistent-hash
-     * shard map with rack-aware preference (a process' home MN is
-     * usually in its CN's rack). Region ownership is predicted by the
-     * ring + the per-pid directory; only migrations create explicit
-     * per-region entries — per-process controller state stays O(1).
+     * Nodes spread over spec.racks racks; the rack count picks the
+     * placement policy:
+     *  - one rack: the paper's controller — processes are homed
+     *    round-robin over MNs and each allocation goes to the
+     *    least-pressured MN;
+     *  - several racks: processes are homed by the consistent-hash
+     *    shard map with rack-aware preference (a process' home MN is
+     *    usually in its CN's rack), and every allocation lands there.
+     * Either way region ownership is predicted by the per-pid home
+     * directory; only off-home grants and migrations create explicit
+     * per-region entries, so per-process controller state stays O(1).
      */
     Cluster(const ModelConfig &cfg, const ClusterSpec &spec);
 
@@ -100,16 +102,16 @@ class Cluster
     /** MN index of a network node id (panics for CN ids). */
     std::uint32_t mnIndexOf(NodeId node) const;
 
-    /** Shard map in use (empty for single-rack legacy clusters). */
+    /** Shard map in use (empty for one-rack clusters). */
     const ShardMap &shardMap() const { return shard_map_; }
 
-    /** Home MN index the directory assigned to `pid` (sharded mode). */
+    /** Home MN index the directory assigned to `pid`. */
     std::uint32_t homeMnOf(ProcId pid) const;
 
     /**
      * Create an application process on CN `cn_index` with a fresh
-     * global PID. Allocation placement defaults to round-robin over
-     * MNs weighted away from pressured ones.
+     * global PID, homed and placed by the cluster's policy (see the
+     * ClusterSpec constructor).
      */
     ClioClient &createClient(std::uint32_t cn_index);
 
@@ -148,8 +150,8 @@ class Cluster
     std::vector<MigrationReport> balancePressure();
 
     /** @{ Failure domains (chaos engine). crashMn() kills the board
-     * (volatile state lost) and marks its network port down; in
-     * sharded mode the controller reacts like §4.7's global controller
+     * (volatile state lost) and marks its network port down; with
+     * several racks the controller reacts like §4.7's global controller
      * would: the dead MN leaves the ring and every pid homed on it is
      * re-homed rack-first onto a surviving MN (already-granted regions
      * keep explicit owner entries, so only NEW allocations move).
@@ -203,9 +205,6 @@ class Cluster
      * ring and re-home those whose directory entry differs. */
     void rehomeAllPids();
 
-    /** Wire up an MN's windowed-mode hooks (both constructors). */
-    void attachMnHooks(std::uint32_t mn_idx, bool windowed);
-
     /** Give a new client the replica registry and the allocation
      * placement hook, then keep it (both client factories). */
     ClioClient &addClient(std::unique_ptr<ClioClient> client);
@@ -218,8 +217,8 @@ class Cluster
     /** No MN owns the region (unknown pid/region). */
     static constexpr std::uint32_t kNoOwner = ~0u;
     /** Owning MN index of one granted region: the exception map, else
-     * (sharded) the pid's directory home — kNoOwner when the region
-     * was never granted. */
+     * the pid's directory home — kNoOwner when the region was never
+     * granted. */
     std::uint32_t regionOwnerIdx(ProcId pid, VirtAddr region_start) const;
 
     ModelConfig cfg_;
@@ -230,7 +229,6 @@ class Cluster
     std::vector<std::unique_ptr<ClioClient>> clients_;
 
     ProcId next_pid_ = 1;
-    std::uint32_t rr_next_mn_ = 0;
 
     /** Controller state: per-pid next free coarse-region index, a
      * flat vector indexed by the (sequential) pid — 8 bytes per
@@ -239,18 +237,18 @@ class Cluster
      * overflow into the side map. */
     std::vector<std::uint64_t> next_region_;
     std::map<ProcId, std::uint64_t> next_region_overflow_;
-    /** (pid, region_start) -> owning MN index. In sharded mode this
-     * holds only EXCEPTIONS (migrated regions); everything else is
+    /** (pid, region_start) -> owning MN index, for EXCEPTIONS only
+     * (off-home grants and migrated regions); everything else is
      * predicted by the per-pid directory, keeping region state O(1)
-     * per process. Legacy mode records every grant here. */
+     * per process. */
     std::map<std::pair<ProcId, VirtAddr>, std::uint32_t> region_owner_;
 
-    /** @{ Sharded (multi-rack) placement state. */
+    /** Several racks: homes come from the rack-aware shard ring. */
     bool sharded_ = false;
+    /** The ring (empty with one rack). */
     ShardMap shard_map_;
     /** Directory: pid -> home MN index (4 bytes per process). */
     std::vector<std::uint32_t> pid_home_mn_;
-    /** @} */
 
     /** Controller health plane (null unless cfg.health.enabled). */
     std::unique_ptr<HealthPlane> health_;

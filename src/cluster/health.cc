@@ -483,7 +483,7 @@ HealthPlane::pickReplacement(const ReplicatedRegion &region,
                 return mn.nodeId();
         }
     }
-    // Fallback (legacy clusters / exhausted probes): deterministic
+    // Fallback (one-rack clusters / exhausted probes): deterministic
     // index scan, same-rack first.
     for (int pass = 0; pass < 2; pass++) {
         for (std::uint32_t i = 0; i < cluster_.mnCount(); i++) {

@@ -312,13 +312,6 @@ requestPayloadBytes(const RequestMsg &req)
     }
 }
 
-/** Wire size of a request (headers + inline payload). */
-inline std::uint64_t
-requestWireBytes(const RequestMsg &req)
-{
-    return requestPayloadBytes(req) + 40; // fixed Clio request descriptor
-}
-
 /** Payload bytes a response carries on the wire (read data / offload
  * result payload + per-stage replies of a chained call). */
 inline std::uint64_t
@@ -328,13 +321,6 @@ responsePayloadBytes(const ResponseMsg &resp)
     for (const OffloadStageReply &stage : resp.stages)
         payload += stage.data.size() + 16; // stage reply descriptor
     return payload;
-}
-
-/** Wire size of a response (headers + payload). */
-inline std::uint64_t
-responseWireBytes(const ResponseMsg &resp)
-{
-    return responsePayloadBytes(resp) + 24; // fixed Clio response descriptor
 }
 
 } // namespace clio

@@ -170,5 +170,25 @@ TEST(Controller, PlacementPrefersLeastPressured)
     EXPECT_NE(cluster.mnIndexOf(other.mnFor(b)), loaded);
 }
 
+TEST(Controller, OneRackSpecUsesThePapersPlacement)
+{
+    // One rack is ClusterSpec{1, ...}: no shard ring, processes homed
+    // round-robin, and each allocation on the least-pressured MN.
+    Cluster cluster(ModelConfig::prototype(), ClusterSpec{1, 1, 2});
+    EXPECT_TRUE(cluster.shardMap().empty());
+    ClioClient &first = cluster.createClient(0);
+    ClioClient &second = cluster.createClient(0);
+    EXPECT_EQ(cluster.homeMnOf(first.pid()), 0u);
+    EXPECT_EQ(cluster.homeMnOf(second.pid()), 1u);
+
+    // Load the first process' home MN; its allocation goes elsewhere.
+    ASSERT_TRUE(cluster.mn(0).frames().allocate().has_value());
+    ASSERT_GT(cluster.mn(0).memoryPressure(),
+              cluster.mn(1).memoryPressure());
+    const VirtAddr a = first.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(a, 0u);
+    EXPECT_EQ(cluster.mnIndexOf(first.mnFor(a)), 1u);
+}
+
 } // namespace
 } // namespace clio

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -474,6 +475,146 @@ craftedWrite(Cluster &cluster, ProcId pid, VirtAddr addr, ReqId id,
     req->size = size;
     req->data.assign(size, 0x5A);
     return req;
+}
+
+using Reply = std::pair<Status, std::uint64_t>;
+
+/** Add a network node that appends the status and value of every
+ * response it receives to `replies`: the sender of crafted requests. */
+NodeId
+addProbe(Cluster &cluster, std::vector<Reply> &replies)
+{
+    return cluster.network().addNode([&replies](Packet pkt) {
+        const auto &resp = static_cast<const ResponseMsg &>(*pkt.msg);
+        replies.emplace_back(resp.status, resp.value);
+    });
+}
+
+/** A request of `type` from `probe` to MN 0 for `pid`, not yet sent. */
+std::shared_ptr<RequestMsg>
+probeRequest(Cluster &cluster, NodeId probe, ProcId pid, MsgType type,
+             ReqId id)
+{
+    auto req = std::make_shared<RequestMsg>();
+    req->type = type;
+    req->pid = pid;
+    req->req_id = id;
+    req->orig_req_id = id;
+    req->src = probe;
+    req->dst = cluster.mn(0).nodeId();
+    return req;
+}
+
+/** Deliver `req` as one single-part packet and run to quiescence. */
+void
+sendWhole(Cluster &cluster, const std::shared_ptr<RequestMsg> &req)
+{
+    cluster.network().send(craftedPart(req->src, req->dst, req->req_id,
+                                       req->type, req, 0, 1, 0, 0));
+    cluster.run();
+}
+
+/** The same request re-sent as a retry: fresh id, original orig id. */
+std::shared_ptr<RequestMsg>
+retryOf(const std::shared_ptr<RequestMsg> &req, ReqId id)
+{
+    auto retry = std::make_shared<RequestMsg>(*req);
+    retry->req_id = id;
+    return retry;
+}
+
+TEST(Integration, RetriedAtomicRepliesWithCachedResult)
+{
+    // T4: a retry of an executed atomic must not run again, and must
+    // reply with the original's old value. Otherwise a retried rlock
+    // whose first reply was lost reads 0 and takes a held lock.
+    std::vector<Reply> replies; // outlives the probe node's handler
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr counter = client.ralloc(4 * MiB).value_or(0);
+    const VirtAddr lock = counter + 64;
+    const std::uint64_t five = 5, held = 1;
+    ASSERT_EQ(client.rwrite(counter, &five, 8), Status::kOk);
+    ASSERT_EQ(client.rwrite(lock, &held, 8), Status::kOk);
+
+    const NodeId probe = addProbe(cluster, replies);
+    auto add = probeRequest(cluster, probe, client.pid(), MsgType::kAtomic,
+                            0xA1);
+    add->addr = counter;
+    add->aop = AtomicOp::kFetchAdd;
+    add->arg0 = 1;
+    auto tas = probeRequest(cluster, probe, client.pid(), MsgType::kAtomic,
+                            0xB1);
+    tas->addr = lock;
+    tas->aop = AtomicOp::kTestAndSet;
+    for (const auto &req : {add, retryOf(add, 0xA2), tas, retryOf(tas, 0xB2)})
+        sendWhole(cluster, req);
+
+    const std::vector<Reply> want = {{Status::kOk, 5},
+                                     {Status::kOk, 5},
+                                     {Status::kOk, 1},
+                                     {Status::kOk, 1}};
+    EXPECT_EQ(replies, want);
+    std::uint64_t out = 0;
+    ASSERT_EQ(client.rread(counter, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 6u); // the fetch-add executed once
+}
+
+TEST(Integration, DuplicatedAllocAndFreeExecuteOnce)
+{
+    // A switch-duplicated alloc/free, or a retry of one whose reply was
+    // lost, must not run twice: the second alloc would leak a range the
+    // CN never learns, the second free would answer kBadAddress.
+    std::vector<Reply> replies; // outlives the probe node's handler
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const NodeId probe = addProbe(cluster, replies);
+    auto alloc = probeRequest(cluster, probe, client.pid(), MsgType::kAlloc,
+                              0xC1);
+    alloc->size = 4 * MiB;
+    alloc->perm = kPermReadWrite;
+    sendWhole(cluster, alloc);
+    sendWhole(cluster, alloc); // duplicate
+    sendWhole(cluster, retryOf(alloc, 0xC2));
+    ASSERT_EQ(replies.size(), 3u);
+    const VirtAddr addr = replies[0].second;
+    EXPECT_EQ(mn.stats().allocs, 1u);
+    for (const auto &[status, value] : replies) {
+        EXPECT_EQ(status, Status::kOk);
+        EXPECT_EQ(value, addr);
+    }
+
+    auto dealloc = probeRequest(cluster, probe, client.pid(),
+                                MsgType::kFree, 0xC3);
+    dealloc->addr = addr;
+    sendWhole(cluster, dealloc);
+    sendWhole(cluster, dealloc); // duplicate
+    EXPECT_EQ(mn.stats().frees, 1u);
+    ASSERT_EQ(replies.size(), 5u);
+    EXPECT_EQ(replies[3].first, Status::kOk);
+    EXPECT_EQ(replies[4].first, Status::kOk);
+}
+
+TEST(Integration, MalformedAllocPartDropped)
+{
+    // Slow-path packets pass the same part check as every request: an
+    // alloc claiming part 5 of 2 is dropped, counted and never run.
+    std::vector<Reply> replies; // outlives the probe node's handler
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    CBoard &mn = cluster.mn(0);
+    const NodeId probe = addProbe(cluster, replies);
+    auto alloc = probeRequest(cluster, probe, client.pid(), MsgType::kAlloc,
+                              0xD1);
+    alloc->size = 4 * MiB;
+    alloc->perm = kPermReadWrite;
+    cluster.network().send(craftedPart(alloc->src, alloc->dst, 0xD1,
+                                       MsgType::kAlloc, alloc, 5, 2, 0, 0));
+    cluster.run();
+    EXPECT_EQ(mn.stats().malformed_parts_dropped, 1u);
+    EXPECT_EQ(mn.stats().allocs, 0u);
+    EXPECT_TRUE(replies.empty());
 }
 
 TEST(Integration, MalformedRequestPartsDropped)
