@@ -60,8 +60,6 @@ class ClioMvOffload : public Offload
     OffloadResult invoke(OffloadVm &vm,
                          const std::vector<std::uint8_t> &arg) override;
 
-    std::uint32_t valueSize() const { return value_size_; }
-
   private:
     struct Descriptor
     {

@@ -157,13 +157,12 @@ RdmaMemoryNode::verb(QpId qp, MrId mr_id, std::uint64_t offset,
         }
     }
 
-    // Host DRAM access over PCIe (reads must reach DRAM; writes are
-    // acked early by the RNIC, §7.1).
-    const Tick dram = cfg_.dram.server_access_latency +
-                      static_cast<Tick>(len) *
-                          ticksPerByte(cfg_.dram.bandwidth_bps);
-    if (!is_write || !rc.write_early_ack)
-        t += dram;
+    // Host DRAM access over PCIe: reads must reach DRAM, while the
+    // RNIC acks a write before its data gets there (§7.1 suspects this
+    // optimization).
+    if (!is_write)
+        t += cfg_.dram.server_access_latency +
+             static_cast<Tick>(len) * ticksPerByte(cfg_.dram.bandwidth_bps);
 
     // Host-memory-system jitter and rare long stalls (tail, Fig. 7).
     t += static_cast<Tick>(

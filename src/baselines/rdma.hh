@@ -106,7 +106,6 @@ class RdmaMemoryNode
     RdmaVerbResult write(QpId qp, MrId mr, std::uint64_t offset,
                          const void *src, std::uint64_t len);
 
-    std::uint64_t mrCount() const { return mrs_.size(); }
     const RdmaConfig &config() const { return cfg_.rdma; }
 
     /** Host page size used for MTT entries (4 KB huge pages are NOT

@@ -218,13 +218,14 @@ CBoard::onPacket(Packet pkt)
         }
         return;
     }
+    const auto &req = *inflight.req;
+    const Tick ready = eq_.now() + cfg_.fast_path.mac_latency;
     if (!inflight.parts.complete()) {
-        fastPathPacket(pkt, inflight, nullptr);
+        fastPathPacket(req, pkt, ready, inflight, nullptr);
         return;
     }
-    const auto &req = *inflight.req;
     auto resp = resp_pool_.acquire();
-    fastPathPacket(pkt, inflight, resp.get());
+    fastPathPacket(req, pkt, ready, inflight, resp.get());
     resp->req_id = req.req_id;
     resp->status = inflight.status;
     if (inflight.status != Status::kOk)
@@ -362,19 +363,16 @@ CBoard::memoryAccess(Tick t, std::uint64_t bytes, bool is_write)
 }
 
 void
-CBoard::fastPathPacket(const Packet &pkt, Inflight &inflight,
-                       ResponseMsg *resp)
+CBoard::fastPathPacket(const RequestMsg &req, const Packet &pkt, Tick ready,
+                       Inflight &inflight, ResponseMsg *resp)
 {
-    const auto &req = *inflight.req;
-
-    // Ingress MAC/PHY, fence gate, then the pipeline. Read responses
-    // stream their payload back through the same datapath, so a read
-    // occupies the pipeline for its response bytes as well.
+    // Fence gate, then the pipeline. Read responses stream their
+    // payload back through the same datapath, so a read occupies the
+    // pipeline for its response bytes as well.
     const std::uint64_t egress_bytes =
         req.type == MsgType::kRead && pkt.part == 0 ? req.size : 0;
-    Tick t = admitPipeline(
-        std::max(eq_.now() + cfg_.fast_path.mac_latency, gate_open_),
-        pkt.wire_bytes + egress_bytes);
+    Tick t = admitPipeline(std::max(ready, gate_open_),
+                           pkt.wire_bytes + egress_bytes);
 
     if (inflight.status != Status::kOk || inflight.suppressed) {
         // Earlier part failed, or duplicate: skip execution, keep
@@ -464,35 +462,22 @@ Tick
 CBoard::serviceFastPath(const RequestMsg &req, Tick ready,
                         ResponseMsg &resp)
 {
-    // Whole-request variant used by the on-board traffic generator
-    // (Fig. 9) and unit tests: same logic as the per-packet path, with
-    // the full payload as one unit.
-    // Payload crosses the datapath once in either direction (write
-    // ingress or read-response egress).
-    Tick t = admitPipeline(std::max(ready, gate_open_),
-                           req.size + kPacketHeaderBytes);
-
-    Status status = Status::kOk;
-    switch (req.type) {
-      case MsgType::kRead:
-        stats_.reads++;
-        stats_.bytes_read += req.size;
-        resp.data.resize(req.size);
-        t = walkPages(req.pid, req.addr, req.size, false, t, status,
-                      resp.data.data());
-        break;
-      case MsgType::kWrite:
-        stats_.writes++;
-        stats_.bytes_written += req.size;
-        t = walkPages(req.pid, req.addr, req.size, true, t, status,
-                      const_cast<std::uint8_t *>(req.data.data()));
-        break;
-      default:
-        clio_panic("serviceFastPath supports read/write only");
+    // The whole request as one part of the packet path: header-only
+    // for a read, the whole payload for a write.
+    Packet pkt;
+    if (req.type == MsgType::kWrite) {
+        clio_assert(req.size + kPacketHeaderBytes <= UINT32_MAX,
+                    "whole-request write does not fit one part");
+        pkt.payload_len = static_cast<std::uint32_t>(req.size);
     }
+    pkt.wire_bytes = pkt.payload_len + kPacketHeaderBytes;
+    Inflight inflight;
+    resp.data.clear();
+    fastPathPacket(req, pkt, ready, inflight, &resp);
     resp.req_id = req.req_id;
-    resp.status = status;
-    t += cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle;
+    resp.status = inflight.status;
+    const Tick t =
+        inflight.done + cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle;
     last_op_done_ = std::max(last_op_done_, t);
     return t;
 }

@@ -158,12 +158,14 @@ class CBoard
 
     /**
      * Fast-path timing for one request, bypassing the network — used
-     * by the on-board traffic generator bench (Fig. 9) and by offload
-     * cost accounting. Mutates functional state exactly like a network
-     * request would.
+     * by the developer simulator (§5), the on-board traffic generator
+     * bench (Fig. 9) and the latency breakdown (Fig. 14). The request
+     * runs the packet path as one part, so it mutates functional state
+     * and charges time exactly like a network request would. A read
+     * that faults answers with the pages that translated.
      *
      * @param ready tick at which the request is at the pipeline head.
-     * @param[out] resp filled with status/data/value.
+     * @param[out] resp filled with status and data.
      * @return tick at which the fast path completes the request.
      */
     Tick serviceFastPath(const RequestMsg &req, Tick ready,
@@ -299,11 +301,12 @@ class CBoard
      * @return whether the part is new and should be processed. */
     bool acceptPart(const Packet &pkt, Inflight &inflight);
 
-    /** Handle one fast-path packet (read/write slice/atomic/fence).
+    /** Handle one fast-path part (read/write slice/atomic/fence) of
+     * `req`, which reaches the pipeline head at `ready`.
      * @param resp the response, when this part completes the request:
      *        a read copies its data into it while translating. */
-    void fastPathPacket(const Packet &pkt, Inflight &inflight,
-                        ResponseMsg *resp);
+    void fastPathPacket(const RequestMsg &req, const Packet &pkt,
+                        Tick ready, Inflight &inflight, ResponseMsg *resp);
 
     /** Occupy the fast-path pipeline (II = 1: one datapath word per
      * cycle) with `bytes` entering at `ready`, plus the parse stage.

@@ -48,6 +48,15 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
                         std::uint64_t len)
 {
     clio_assert(offset + len <= size_, "replicated write out of range");
+    if (resync_.reading && offset < resync_.cur_off + resync_.cur_len &&
+        resync_.cur_off < offset + len) {
+        // The chunk's copy-write will carry bytes read before this
+        // write; hold the write until that copy-write is issued, so
+        // the mirror below queues behind it (see file docs).
+        const bool ok = client_.cnode().eventQueue().runUntil(
+            [this] { return !resync_.reading; });
+        clio_assert(ok, "simulation drained with a resync read in flight");
+    }
     // Write-all in one doorbell: both replica writes leave together.
     SubmissionBatch batch(client_);
     std::size_t p_index = 0, b_index = 0;
@@ -65,12 +74,13 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
     if (resync_.active && !resync_.aborting && resync_.target_va != 0 &&
         offset < resync_.read_issued_end) {
         // Mirror into the resync target: its copied (or read-issued)
-        // prefix would otherwise go stale. T2 serializes this mirror
-        // after any conflicting chunk copy-write (WAW on the target
-        // VA), so the target converges to the latest data; writes
-        // entirely beyond the issued prefix are picked up by the
-        // chunk reads themselves. The mirror's own completion does
-        // not gate the foreground write's success.
+        // prefix would otherwise go stale. Every chunk this overlaps
+        // has its copy-write issued, and T2 serializes the mirror
+        // after it (WAW on the target VA), so the target converges to
+        // the latest data; writes entirely beyond the issued prefix
+        // are picked up by the chunk reads themselves. The mirror's
+        // own completion does not gate the foreground write's
+        // success.
         batch.write(resync_.target_va + offset, src, len);
     }
     const BatchOutcome out = batch.submitAndWait();
@@ -197,6 +207,7 @@ ReplicatedRegion::pumpResync()
             issueResyncRead();
             break;
           case kTagRead:
+            resync_.reading = false;
             if (!c.ok()) {
                 // The SURVIVOR died mid-copy: no healthy source left.
                 // The half-copied target is abandoned, never marked
@@ -251,6 +262,7 @@ ReplicatedRegion::issueResyncRead()
     resync_.cur_off = resync_.read_issued_end;
     resync_.cur_len = std::min(resync_.chunk, size_ - resync_.cur_off);
     resync_.read_issued_end = resync_.cur_off + resync_.cur_len;
+    resync_.reading = true;
     resync_.buf.resize(resync_.cur_len);
     resync_cq_.watch(client_.rreadAsync(survivor + resync_.cur_off,
                                         resync_.buf.data(),
@@ -266,6 +278,7 @@ ReplicatedRegion::finishResync(Status status)
     // the region bothDead and give up anyway).
     resync_.active = false;
     resync_.aborting = false;
+    resync_.reading = false;
     resync_.target_mn = 0;
     resync_.target_va = 0;
     auto done = std::move(resync_.done);

@@ -21,13 +21,15 @@
  * ordinary simulator events, concurrently with foreground traffic.
  * A client's heal() starts the same copy and waits for it.
  * During resync, reads stay on the survivor (degraded mode) and
- * writes mirror into the already-copied prefix of the target, so the
+ * writes mirror into the read-issued prefix of the target, so the
  * region is consistent the instant the last chunk lands; the swap to
- * fully-redundant happens only then. The correctness of
- * mirror-from-read-issue is anchored on the client's T2 ordering: a
- * write conflicting with an issued chunk read queues behind it (WAR),
- * so its mirror lands after the chunk's copy-write (WAW on the target
- * VA).
+ * fully-redundant happens only then. A mirror must land after the
+ * copy-write of every chunk it overlaps. For a chunk already
+ * copy-written or being copy-written, the client's T2 ordering does
+ * that: the mirror queues behind the copy-write (WAW on the target
+ * VA). Nothing orders a mirror after a copy-write not yet issued, so a
+ * write overlapping the chunk whose read is in flight is held until
+ * that read's completion is handled, which issues the copy-write.
  */
 
 #ifndef CLIO_CLIB_REPLICATION_HH
@@ -185,6 +187,9 @@ class ReplicatedRegion
         /** Chunk currently in flight. */
         std::uint64_t cur_off = 0;
         std::uint64_t cur_len = 0;
+        /** The chunk's read is issued and its completion not yet
+         * handled (its copy-write is not issued). */
+        bool reading = false;
         std::vector<std::uint8_t> buf;
         std::function<void(Status)> done;
     };

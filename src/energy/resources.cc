@@ -27,9 +27,10 @@ clioUtilization(const ModelConfig &cfg, const FpgaDevice &dev)
         4.0 * cfg.net.mtu +        // ingress/egress staging
         66000.0;
 
-    // --- Go-Back-N reference transport (built for comparison) -----
-    // Keeps per-flow state: sequence numbers + retransmission buffer,
-    // which is exactly what Clio's design avoids.
+    // --- Go-Back-N reference transport (paper's synthesis) --------
+    // The paper's reported numbers for a transport that keeps per-flow
+    // state (sequence numbers + retransmission buffers), which is
+    // exactly what Clio's design avoids; not modeled here.
     const double gbn_lut = 26000.0 + 2500.0;
     const double gbn_bram = 64.0 * 2048.0; // per-flow retx buffers
 

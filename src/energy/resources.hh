@@ -7,9 +7,10 @@
  * function of the model configuration (TLB entries, dedup buffer,
  * async buffer, datapath width). Constants are calibrated so the
  * default configuration reproduces the paper's reported numbers:
- * Clio total 31%/31%, VirtMem 5.5%/3%, NetStack 2.3%/1.7%, and the
- * Go-Back-N reference transport 5.8%/2.6%, against StRoM-RoCEv2
- * (39%/76%) and Tonic-SACK (48%/40%).
+ * Clio total 31%/31%, VirtMem 5.5%/3% and NetStack 2.3%/1.7%, against
+ * StRoM-RoCEv2 (39%/76%) and Tonic-SACK (48%/40%). The Go-Back-N row
+ * (5.8%/2.6%) is the paper's reported synthesis of a reference
+ * transport this repo does not model.
  */
 
 #ifndef CLIO_ENERGY_RESOURCES_HH
@@ -39,8 +40,9 @@ struct FpgaDevice
 };
 
 /** Estimate Clio's module utilization under `cfg`. Rows: VirtMem,
- * NetStack, Go-Back-N (reference transport, not deployed), and the
- * Clio total including vendor IPs (PHY/MAC/DDR/interconnect). */
+ * NetStack, Go-Back-N (the paper's reported synthesis, independent of
+ * `cfg`), and the Clio total including vendor IPs
+ * (PHY/MAC/DDR/interconnect). */
 std::vector<FpgaUtilization> clioUtilization(const ModelConfig &cfg,
                                              const FpgaDevice &dev = {});
 

@@ -75,12 +75,4 @@ AsyncFreePageBuffer::push(PhysAddr frame)
     return true;
 }
 
-std::vector<PhysAddr>
-AsyncFreePageBuffer::drain()
-{
-    std::vector<PhysAddr> out(fifo_.begin(), fifo_.end());
-    fifo_.clear();
-    return out;
-}
-
 } // namespace clio

@@ -47,8 +47,6 @@ class FrameAllocator
     /** Fraction of physical frames currently allocated, in [0, 1]. */
     double utilization() const;
 
-    std::uint64_t pageSize() const { return page_size_; }
-
   private:
     std::uint64_t page_size_;
     std::uint64_t total_frames_;
@@ -81,9 +79,6 @@ class AsyncFreePageBuffer
     }
     bool empty() const { return fifo_.empty(); }
     std::uint32_t vacancy() const { return capacity_ - size(); }
-
-    /** Drain all reserved frames (e.g. to hand back on teardown). */
-    std::vector<PhysAddr> drain();
 
     /** Times the fast path found the buffer empty (should stay 0 in
      * steady state; a nonzero count means the refill rate fell behind

@@ -101,7 +101,6 @@ class HashPageTable
         }
     }
 
-    std::uint64_t bucketCount() const { return bucket_count_; }
     std::uint32_t bucketSlots() const { return bucket_slots_; }
     std::uint64_t totalSlots() const {
         return bucket_count_ * bucket_slots_;

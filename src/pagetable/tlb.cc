@@ -32,14 +32,6 @@ Tlb::insert(const Pte &pte)
 }
 
 void
-Tlb::update(const Pte &pte)
-{
-    const std::uint32_t slot = lru_.find(Key{pte.pid, pte.vpn});
-    if (slot != lru_.kNone)
-        ptes_[slot] = pte;
-}
-
-void
 Tlb::invalidate(ProcId pid, std::uint64_t vpn)
 {
     lru_.erase(Key{pid, vpn});

@@ -34,12 +34,6 @@ class Tlb
     /** Insert (or overwrite) an entry, evicting LRU when full. */
     void insert(const Pte &pte);
 
-    /**
-     * Update a cached entry in place if it exists (used when a PTE
-     * changes, keeping TLB and page table consistent, §4.2).
-     */
-    void update(const Pte &pte);
-
     /** Drop one entry if cached (rfree / remap). */
     void invalidate(ProcId pid, std::uint64_t vpn);
 

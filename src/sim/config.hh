@@ -251,9 +251,6 @@ struct RdmaConfig
     Tick mr_deregister_per_page = 5 * kNanosecond;
     /** ODP registration is cheap (no pinning) but faults later. */
     Tick mr_register_odp = 25 * kMicrosecond;
-    /** RNIC replies to a write before data reaches DRAM (§7.1 suspects
-     * this optimization); reads must wait for host DRAM. */
-    bool write_early_ack = true;
     /** Heavier tail than Clio: mean of the exponential jitter the host
      * memory system adds to each RNIC DRAM access. */
     Tick host_jitter_mean = 120 * kNanosecond;

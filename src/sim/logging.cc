@@ -20,12 +20,6 @@ warnMsg(const std::string &msg)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informMsg(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 namespace detail {
 
 std::string

@@ -36,9 +36,6 @@ void warnQuiet(bool quiet);
 /** Emit a warning (something works, but not as well as it should). */
 void warnMsg(const std::string &msg);
 
-/** Emit an informational status message. */
-void informMsg(const std::string &msg);
-
 } // namespace clio
 
 /**

@@ -78,8 +78,6 @@ class ZipfianGenerator
     /** Next zipf-distributed item index in [0, n). */
     std::uint64_t next();
 
-    std::uint64_t itemCount() const { return n_; }
-
   private:
     static double zeta(std::uint64_t n, double theta);
 

@@ -124,34 +124,4 @@ LatencyHistogram::percentile(double p) const
     return max_;
 }
 
-std::vector<std::pair<Tick, double>>
-LatencyHistogram::cdf(int points) const
-{
-    std::vector<std::pair<Tick, double>> out;
-    if (count_ == 0)
-        return out;
-    out.reserve(static_cast<std::size_t>(points));
-    // Single pass: the per-point rank targets are nondecreasing, so
-    // one walk over the occupied buckets serves every point (the old
-    // implementation rescanned the whole bucket array per point).
-    int bucket = lo_;
-    std::uint64_t seen = buckets_[static_cast<std::size_t>(lo_)];
-    for (int i = 1; i <= points; i++) {
-        const double frac = static_cast<double>(i) / points;
-        const double p = frac * 100.0;
-        const auto rank = static_cast<std::uint64_t>(
-            std::ceil(p / 100.0 * static_cast<double>(count_)));
-        const std::uint64_t target = rank == 0 ? 1 : rank;
-        while (seen < target && bucket < hi_) {
-            bucket++;
-            seen += buckets_[static_cast<std::size_t>(bucket)];
-        }
-        const Tick edge =
-            seen >= target ? std::min(bucketUpperEdge(bucket), max_)
-                           : max_;
-        out.emplace_back(edge, frac);
-    }
-    return out;
-}
-
 } // namespace clio

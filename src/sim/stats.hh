@@ -1,15 +1,13 @@
 /**
  * @file
  * Statistics collection: log-linear latency histograms with percentile
- * queries (HDR-histogram style) and simple throughput accounting.
+ * queries (HDR-histogram style).
  */
 
 #ifndef CLIO_SIM_STATS_HH
 #define CLIO_SIM_STATS_HH
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -56,12 +54,6 @@ class LatencyHistogram
     Tick median() const { return percentile(50.0); }
     Tick p99() const { return percentile(99.0); }
 
-    /**
-     * Sampled CDF with `points` evenly spaced percentile steps, as
-     * (value, cumulative fraction) pairs — e.g. for Fig. 7.
-     */
-    std::vector<std::pair<Tick, double>> cdf(int points = 100) const;
-
   private:
     static constexpr int kSubBucketBits = 6;
     static constexpr int kSubBuckets = 1 << kSubBucketBits;
@@ -75,57 +67,12 @@ class LatencyHistogram
     Tick min_;
     Tick max_;
     double sum_;
-    /** Occupied-bucket bounds [lo_, hi_]: percentile and cdf queries
-     * scan only this range instead of all kBands * kSubBuckets
-     * buckets (the occupied range of a real latency distribution is
-     * a handful of cache lines). Empty histogram: lo_ > hi_. */
+    /** Occupied-bucket bounds [lo_, hi_]: percentile queries scan only
+     * this range instead of all kBands * kSubBuckets buckets (the
+     * occupied range of a real latency distribution is a handful of
+     * cache lines). Empty histogram: lo_ > hi_. */
     int lo_;
     int hi_;
-};
-
-/** Accumulates bytes moved over simulated time and reports Gbps. */
-class ThroughputMeter
-{
-  public:
-    void
-    record(std::uint64_t bytes)
-    {
-        bytes_ += bytes;
-        ops_ += 1;
-    }
-
-    std::uint64_t bytes() const { return bytes_; }
-    std::uint64_t ops() const { return ops_; }
-
-    /** Goodput in Gbps over the elapsed tick interval. */
-    double
-    gbps(Tick elapsed) const
-    {
-        if (elapsed == 0)
-            return 0.0;
-        return static_cast<double>(bytes_) * 8.0 /
-               ticksToSeconds(elapsed) / 1e9;
-    }
-
-    /** Million operations per second over the elapsed interval. */
-    double
-    mops(Tick elapsed) const
-    {
-        if (elapsed == 0)
-            return 0.0;
-        return static_cast<double>(ops_) / ticksToSeconds(elapsed) / 1e6;
-    }
-
-    void
-    reset()
-    {
-        bytes_ = 0;
-        ops_ = 0;
-    }
-
-  private:
-    std::uint64_t bytes_ = 0;
-    std::uint64_t ops_ = 0;
 };
 
 } // namespace clio

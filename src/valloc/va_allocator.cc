@@ -144,32 +144,6 @@ VaAllocator::allocate(ProcId pid, std::uint64_t size, std::uint8_t perm,
 }
 
 std::optional<VaAllocResult>
-VaAllocator::allocateFixed(ProcId pid, VirtAddr fixed_addr,
-                           std::uint64_t size, std::uint8_t perm,
-                           const HashPageTable &pt, bool fallback)
-{
-    clio_assert(fixed_addr % page_size_ == 0,
-                "fixed VA must be page aligned");
-    const std::uint64_t length =
-        (size + page_size_ - 1) / page_size_ * page_size_;
-    ProcState &st = procs_.try_emplace(pid, ProcState{{}, page_size_, {}})
-                        .first->second;
-    if (rangeFree(st, fixed_addr, length)) {
-        auto vpns = vpnsOf(fixed_addr, length);
-        if (pt.canInsert(pid, vpns)) {
-            st.regions.emplace(fixed_addr,
-                               VaRegion{fixed_addr, length, perm});
-            return VaAllocResult{fixed_addr, std::move(vpns), 0};
-        }
-    }
-    if (!fallback)
-        return std::nullopt;
-    // §4.2 limitation: fall back to a fresh range when the requested
-    // one cannot be inserted overflow-free.
-    return allocate(pid, size, perm, pt);
-}
-
-std::optional<VaAllocResult>
 VaAllocator::free(ProcId pid, VirtAddr addr)
 {
     auto pit = procs_.find(pid);

@@ -71,16 +71,6 @@ class VaAllocator
              const HashPageTable &pt, std::uint32_t max_retries = 1000);
 
     /**
-     * Variant that requests a fixed start address (mmap MAP_FIXED-like).
-     * Per §4.2's stated limitation, Clio falls back to a fresh range
-     * when the fixed one cannot be inserted; `fallback` controls that.
-     */
-    std::optional<VaAllocResult>
-    allocateFixed(ProcId pid, VirtAddr fixed_addr, std::uint64_t size,
-                  std::uint8_t perm, const HashPageTable &pt,
-                  bool fallback = true);
-
-    /**
      * Free the allocation starting exactly at `addr`.
      * @return the region's page numbers, or nullopt if no allocation
      *         starts at `addr` (caller reports an error to the app).
@@ -123,8 +113,6 @@ class VaAllocator
 
     /** Drop all state of a process (teardown). */
     void removeProcess(ProcId pid);
-
-    std::uint64_t pageSize() const { return page_size_; }
 
   private:
     struct ProcState

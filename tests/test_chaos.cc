@@ -547,6 +547,16 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
     // retries after a replacement died mid-copy all fit comfortably.
     eq.runUntilTime(std::max(eq.now(), plan.horizon()) +
                     15 * kMillisecond);
+    // ...except a resync whose alloc the fault window dropped: the
+    // alloc waits out slow_op_timeout before its retry. Run on until
+    // the resync is over, so the region is never torn down with one in
+    // flight; the bound outlasts every attempt of the alloc timing out.
+    const Tick resync_deadline =
+        eq.now() + 2 * (cfg.clib.max_retries + 1) * cfg.clib.slow_op_timeout;
+    eq.runUntil([&] {
+        return !region.resyncActive() || eq.now() >= resync_deadline;
+    });
+    EXPECT_FALSE(region.resyncActive()) << "seed " << seed;
 
     // NO heal() call anywhere in this run: redundancy is restored by
     // the controller alone. Reads must see every acked write through

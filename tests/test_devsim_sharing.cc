@@ -45,6 +45,20 @@ TEST(DevBoard, EnforcesSameSemanticsAsCluster)
     EXPECT_EQ(bob.rread(a, &v, 8), Status::kBadAddress);
 }
 
+TEST(DevBoard, ReadLengthFarPastTheMappingAllocatesNothing)
+{
+    // Regression: the whole-request fast path sized the response to the
+    // request before translating, so a 1 PiB read threw bad_alloc
+    // instead of failing at the first unmapped page.
+    DevBoard dev;
+    DevProcess proc = dev.openProcess();
+    const VirtAddr addr = proc.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+    std::uint64_t out = 0;
+    EXPECT_EQ(proc.rread(addr, &out, std::uint64_t{1} << 50),
+              Status::kBadAddress);
+}
+
 TEST(DevBoard, OffloadDevelopmentWorkflow)
 {
     // Developing Clio-KV against the DevBoard: same offload object

@@ -184,16 +184,5 @@ TEST(AsyncBuffer, CapacityAndUnderflow)
     EXPECT_EQ(buf.underflows(), 1u);
 }
 
-TEST(AsyncBuffer, DrainReturnsReservedFrames)
-{
-    AsyncFreePageBuffer buf(8);
-    buf.push(10);
-    buf.push(20);
-    buf.push(30);
-    auto drained = buf.drain();
-    EXPECT_EQ(drained, (std::vector<PhysAddr>{10, 20, 30}));
-    EXPECT_TRUE(buf.empty());
-}
-
 } // namespace
 } // namespace clio

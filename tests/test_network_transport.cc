@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the network model, MTU splitting, the CN transport
- * (CNode), and the Go-Back-N reference transport.
+ * Unit tests for the network model, MTU splitting and the CN transport
+ * (CNode).
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <numeric>
 #include <vector>
 
-#include "baselines/go_back_n.hh"
 #include "clib/cnode.hh"
 #include "cluster/cluster.hh"
 #include "net/network.hh"
@@ -397,104 +396,6 @@ TEST(CNode, RttHistogramPopulated)
         client.rwrite(addr, &v, 8);
     EXPECT_GE(cluster.cn(0).rttHistogram().count(), 20u);
     EXPECT_GT(cluster.cn(0).rttHistogram().median(), kMicrosecond);
-}
-
-// ----------------------------------------------------------------
-// Go-Back-N reference transport
-// ----------------------------------------------------------------
-
-struct GbnPair
-{
-    EventQueue eq;
-    Network net;
-    std::vector<std::vector<std::uint8_t>> a_got, b_got;
-    std::unique_ptr<GbnEndpoint> a, b;
-
-    explicit GbnPair(NetConfig cfg, std::uint64_t seed = 1)
-        : net(eq, cfg, seed)
-    {
-        a = std::make_unique<GbnEndpoint>(
-            eq, net,
-            [this](NodeId, std::vector<std::uint8_t> m) {
-                a_got.push_back(std::move(m));
-            });
-        b = std::make_unique<GbnEndpoint>(
-            eq, net,
-            [this](NodeId, std::vector<std::uint8_t> m) {
-                b_got.push_back(std::move(m));
-            });
-    }
-};
-
-std::vector<std::uint8_t>
-blob(std::size_t n, std::uint8_t tag)
-{
-    std::vector<std::uint8_t> out(n);
-    for (std::size_t i = 0; i < n; i++)
-        out[i] = static_cast<std::uint8_t>(tag + i * 7);
-    return out;
-}
-
-TEST(GoBackN, DeliversInOrderLossless)
-{
-    GbnPair pair(quietNet());
-    for (int i = 0; i < 10; i++)
-        pair.a->send(pair.b->nodeId(), blob(3000, static_cast<std::uint8_t>(i)));
-    pair.eq.runAll();
-    ASSERT_EQ(pair.b_got.size(), 10u);
-    for (int i = 0; i < 10; i++)
-        EXPECT_EQ(pair.b_got[static_cast<std::size_t>(i)],
-                  blob(3000, static_cast<std::uint8_t>(i)));
-    EXPECT_EQ(pair.a->stats().data_retransmitted, 0u);
-}
-
-TEST(GoBackN, RecoversFromLoss)
-{
-    auto cfg = quietNet();
-    cfg.loss_rate = 0.15;
-    GbnPair pair(cfg, 23);
-    for (int i = 0; i < 20; i++)
-        pair.a->send(pair.b->nodeId(), blob(5000, static_cast<std::uint8_t>(i)));
-    pair.eq.runAll();
-    ASSERT_EQ(pair.b_got.size(), 20u);
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(pair.b_got[static_cast<std::size_t>(i)],
-                  blob(5000, static_cast<std::uint8_t>(i)));
-    // Loss forces go-back-N retransmissions.
-    EXPECT_GT(pair.a->stats().data_retransmitted, 0u);
-}
-
-TEST(GoBackN, BidirectionalFlows)
-{
-    GbnPair pair(quietNet());
-    pair.a->send(pair.b->nodeId(), blob(100, 1));
-    pair.b->send(pair.a->nodeId(), blob(200, 2));
-    pair.eq.runAll();
-    ASSERT_EQ(pair.b_got.size(), 1u);
-    ASSERT_EQ(pair.a_got.size(), 1u);
-    EXPECT_EQ(pair.a_got[0], blob(200, 2));
-}
-
-TEST(GoBackN, StateGrowsWithFlowsUnlikeClio)
-{
-    // The Fig. 22 argument: GBN state scales with flows and inflight
-    // data; Clio's MN transport state does not exist at all.
-    auto cfg = quietNet();
-    EventQueue eq;
-    Network net(eq, cfg, 5);
-    GbnEndpoint hub(eq, net, nullptr, 16, 100 * kMicrosecond);
-    std::vector<std::unique_ptr<GbnEndpoint>> peers;
-    for (int i = 0; i < 8; i++) {
-        peers.push_back(
-            std::make_unique<GbnEndpoint>(eq, net, nullptr));
-    }
-    const std::uint64_t before = hub.stateBytes();
-    for (auto &peer : peers)
-        hub.send(peer->nodeId(), blob(8000, 9));
-    // Before any delivery, per-flow retransmission buffers are held.
-    EXPECT_GT(hub.stateBytes(), before + 8 * 8000);
-    EXPECT_EQ(hub.flowCount(), 8u);
-    eq.runAll();
 }
 
 } // namespace

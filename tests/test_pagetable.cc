@@ -198,23 +198,6 @@ TEST(Tlb, LruEviction)
     EXPECT_NE(tlb.lookup(1, 3), nullptr);
 }
 
-TEST(Tlb, UpdateInPlace)
-{
-    Tlb tlb(4);
-    tlb.insert(makePte(1, 1, 0, kPermRead, true, false));
-    Pte updated = makePte(1, 1, 12 * MiB, kPermRead, true, true);
-    tlb.update(updated);
-    const Pte *pte = tlb.lookup(1, 1);
-    ASSERT_NE(pte, nullptr);
-    EXPECT_TRUE(pte->present);
-    EXPECT_EQ(pte->frame, 12 * MiB);
-    // update() of an uncached entry is a no-op, not an insert.
-    tlb.update(makePte(2, 9, 0, kPermRead, true, true));
-    std::uint64_t misses_before = tlb.misses();
-    EXPECT_EQ(tlb.lookup(2, 9), nullptr);
-    EXPECT_EQ(tlb.misses(), misses_before + 1);
-}
-
 TEST(Tlb, InvalidateSingleAndProcess)
 {
     Tlb tlb(8);

@@ -275,6 +275,46 @@ TEST(Replication, HealMirrorsWriteDuringCopy)
     EXPECT_EQ(out, 0x2222u);
 }
 
+TEST(Replication, WriteDuringChunkReadReachesTheCopy)
+{
+    // Regression: a write overlapping the chunk whose read was still in
+    // flight mirrored into the copy at once, while its survivor write
+    // queued behind that read. The mirror landed first, and the chunk's
+    // copy-write then overwrote it with the bytes read before the write.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    std::uint64_t v = 0x1111;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+
+    cluster.crashMn(0);
+    region.markMnDead(cluster.mn(0).nodeId());
+    EventQueue &eq = cluster.eventQueue();
+    const std::uint64_t issued = cluster.cn(0).stats().requests;
+    bool finished = false;
+    Status result = Status::kTimeout;
+    ASSERT_TRUE(region.beginResync(cluster.mn(2).nodeId(),
+                                   [&](Status st) {
+                                       finished = true;
+                                       result = st;
+                                   }));
+    // The alloc, then chunk 0's read: stop with the read in flight.
+    ASSERT_TRUE(eq.runUntil(
+        [&] { return cluster.cn(0).stats().requests == issued + 2; }));
+    v = 0x2222;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    ASSERT_TRUE(eq.runUntil([&] { return finished; }));
+    ASSERT_EQ(result, Status::kOk);
+
+    // Only the copy on MN 2 is left to serve the read.
+    cluster.crashMn(1);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0x2222u);
+}
+
 TEST(Replication, HealExcludesControllerResync)
 {
     // Regression: with the health plane on, the controller used to

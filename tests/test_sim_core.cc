@@ -458,31 +458,6 @@ TEST(Histogram, MergeEmptyKeepsExtremes)
     EXPECT_EQ(b.percentile(0.0), 5 * kMicrosecond);
 }
 
-TEST(Histogram, CdfMonotone)
-{
-    LatencyHistogram h;
-    Rng rng(17);
-    for (int i = 0; i < 10000; i++)
-        h.record(rng.uniformRange(kNanosecond, kMillisecond));
-    auto cdf = h.cdf(50);
-    ASSERT_EQ(cdf.size(), 50u);
-    for (std::size_t i = 1; i < cdf.size(); i++) {
-        EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-        EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-    }
-    EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-TEST(Throughput, GbpsComputation)
-{
-    ThroughputMeter m;
-    m.record(1250); // 1250 B = 10^4 bits
-    EXPECT_DOUBLE_EQ(m.gbps(kMicrosecond), 10.0);
-    EXPECT_DOUBLE_EQ(m.mops(kSecond), 1e-6);
-    m.reset();
-    EXPECT_EQ(m.bytes(), 0u);
-}
-
 /** Places key k in home cell k % 16 of a 16-cell FlatIndex, so tests
  * can lay out probe clusters by hand. */
 struct HomeHash

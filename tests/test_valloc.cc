@@ -184,25 +184,6 @@ TEST(VaAllocator, ChurnPropertyNoLeaksNoOverlap)
     EXPECT_EQ(f.pt.liveEntries(), expected);
 }
 
-TEST(VaAllocator, FixedAllocationHonoredWhenPossible)
-{
-    Fixture f;
-    const VirtAddr want = 100 * kPage;
-    auto res = f.va.allocateFixed(1, want, kPage, kPermReadWrite, f.pt);
-    ASSERT_TRUE(res.has_value());
-    EXPECT_EQ(res->addr, want);
-    for (auto vpn : res->vpns)
-        f.pt.insert(1, vpn, kPermReadWrite);
-    // Second fixed allocation at the same address falls back.
-    auto res2 = f.va.allocateFixed(1, want, kPage, kPermReadWrite, f.pt);
-    ASSERT_TRUE(res2.has_value());
-    EXPECT_NE(res2->addr, want);
-    // With fallback disabled it fails instead.
-    auto res3 =
-        f.va.allocateFixed(1, want, kPage, kPermReadWrite, f.pt, false);
-    EXPECT_FALSE(res3.has_value());
-}
-
 TEST(VaAllocator, ExhaustionReturnsNullopt)
 {
     // Tiny table: 16 MiB phys -> 4 frames -> 8 slots.
