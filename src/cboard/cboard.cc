@@ -650,7 +650,7 @@ CBoard::slowPathFree(ProcId pid, VirtAddr addr, ResponseMsg &resp)
     for (auto vpn : res->vpns) {
         Pte pte = page_table_.remove(pid, vpn);
         if (pte.present)
-            frames_.free(pte.frame);
+            freeFrame(pte.frame);
         tlb_.invalidate(pid, vpn);
     }
     stats_.frees++;
@@ -824,7 +824,7 @@ CBoard::destroyProcess(ProcId pid)
     // linear table sweep is fine.
     page_table_.removeAllOfPid(pid, [this](const Pte &pte) {
         if (pte.present)
-            frames_.free(pte.frame);
+            freeFrame(pte.frame);
     });
     tlb_.invalidateProcess(pid);
     valloc_.removeProcess(pid);
@@ -834,6 +834,13 @@ CBoard::destroyProcess(ProcId pid)
         else
             ++it;
     }
+}
+
+void
+CBoard::freeFrame(PhysAddr frame)
+{
+    memory_.zero(frame, cfg_.page_table.page_size);
+    frames_.free(frame);
 }
 
 std::uint64_t

@@ -198,6 +198,11 @@ class CBoard
     /** Tear down a process: drop VA state, PTEs, frames, TLB entries. */
     void destroyProcess(ProcId pid);
 
+    /** Zero a bound frame and return it to the allocator, so a frame
+     * never carries one process's bytes to the next. Functional only:
+     * it adds no modeled time. */
+    void freeFrame(PhysAddr frame);
+
     /** @{ Failure layer (chaos engine). A crashed board ignores every
      * packet (its port should also be marked down in the Network so
      * in-flight traffic is dropped); restart() models a board coming

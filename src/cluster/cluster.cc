@@ -425,7 +425,7 @@ Cluster::migrateRegion(ProcId pid, std::uint32_t src_mn,
             src.memory().read(pte.frame, page_buf.data(), page_size);
             dst.memory().write(*frame, page_buf.data(), page_size);
             dst.pageTable().bindFrame(pid, vpn, *frame);
-            src.frames().free(pte.frame);
+            src.freeFrame(pte.frame);
             report.bytes_moved += page_size;
             report.pages_moved++;
         }

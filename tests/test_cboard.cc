@@ -169,11 +169,16 @@ TEST(CBoardDevice, DestroyProcessReclaimsEverything)
     ASSERT_EQ(resp.status, Status::kOk);
     const std::uint64_t used_before = f.board.frames().usedFrames();
     EXPECT_GT(f.board.pageTable().liveEntries(), 0u);
+    const std::uint64_t page = f.board.config().page_table.page_size;
+    const PhysAddr frame =
+        f.board.pageTable().lookup(5, resp.value / page)->frame;
+    f.board.memory().write64(frame + 8, 0x5EC2E7);
 
     f.board.destroyProcess(5);
     EXPECT_EQ(f.board.pageTable().liveEntries(), 0u);
     EXPECT_LT(f.board.frames().usedFrames(), used_before);
     EXPECT_EQ(f.board.vaAllocator().allocatedBytes(5), 0u);
+    EXPECT_EQ(f.board.memory().read64(frame + 8), 0u); // zeroed when freed
 }
 
 TEST(DedupBufferUnit, RecordFindEvict)

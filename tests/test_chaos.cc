@@ -172,10 +172,16 @@ TEST(Chaos, DeadMnRequestsReturnTimeout)
     EXPECT_GE(cluster.cn(0).stats().timeouts,
               2u * (cfg.clib.max_retries + 1));
 
-    // The board restarts EMPTY: the old allocation is gone.
+    // The board restarts EMPTY: the old allocation is gone, and a
+    // populated re-allocation reads zero, not the old bytes.
     cluster.restartMn(0);
     EXPECT_EQ(client.rread(addr, &v, 8), Status::kBadAddress);
     EXPECT_EQ(cluster.mn(0).stats().crashes, 1u);
+    const VirtAddr again =
+        client.ralloc(4 * MiB, kPermReadWrite, /*populate=*/true).value_or(0);
+    ASSERT_NE(again, 0u);
+    EXPECT_EQ(client.rread(again, &v, 8), Status::kOk);
+    EXPECT_EQ(v, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -147,6 +147,30 @@ TEST(Integration, FreeThenAccessFails)
     EXPECT_EQ(leak, 0u);
 }
 
+TEST(Integration, FreedFrameReadsZeroForTheNextProcess)
+{
+    // The frame allocator's free list is LIFO, so bob's populated
+    // allocation is bound to the frame alice just freed.
+    Cluster cluster(baseConfig(), 1, 1);
+    ClioClient &alice = cluster.createClient(0);
+    ClioClient &bob = cluster.createClient(0);
+    const char secret[] = "pid-A-secret";
+    const VirtAddr a =
+        alice.ralloc(4 * MiB, kPermReadWrite, /*populate=*/true).value_or(0);
+    ASSERT_NE(a, 0u);
+    ASSERT_EQ(alice.rwrite(a, secret, sizeof(secret)), Status::kOk);
+    ASSERT_EQ(alice.rfree(a), Status::kOk);
+
+    const VirtAddr b =
+        bob.ralloc(4 * MiB, kPermReadWrite, /*populate=*/true).value_or(0);
+    ASSERT_NE(b, 0u);
+    char out[sizeof(secret)];
+    std::memset(out, 0xAB, sizeof(out));
+    ASSERT_EQ(bob.rread(b, out, sizeof(out)), Status::kOk);
+    for (char c : out)
+        EXPECT_EQ(c, 0);
+}
+
 TEST(Integration, LargeMultiPacketWrite)
 {
     Cluster cluster(baseConfig(), 1, 1);
@@ -865,12 +889,24 @@ TEST(Integration, MigrationPreservesData)
 
     const VirtAddr region_start =
         addr / cfg.dist.region_size * cfg.dist.region_size;
+    CBoard &src = cluster.mn(src_mn);
+    std::vector<PhysAddr> src_frames;
+    for (int p = 0; p < 4; p++) {
+        const VirtAddr va = addr + p * 4 * MiB;
+        src_frames.push_back(
+            src.pageTable()
+                .lookup(client.pid(), va / cfg.page_table.page_size)
+                ->frame);
+    }
     auto report =
         cluster.migrateRegion(client.pid(), src_mn, region_start);
     ASSERT_TRUE(report.ok);
     EXPECT_EQ(report.pages_moved, 4u);
     EXPECT_NE(report.dst_mn, src_mn);
     EXPECT_GT(report.duration, 0u);
+    // The source frames went back to its allocator zeroed.
+    for (const PhysAddr frame : src_frames)
+        EXPECT_EQ(src.memory().read64(frame), 0u);
 
     // Client now routes to the new MN and data is intact.
     EXPECT_EQ(cluster.mnIndexOf(client.mnFor(addr)), report.dst_mn);

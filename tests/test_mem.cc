@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <vector>
 
@@ -76,6 +79,58 @@ TEST(PhysicalMemory, SparseHugeCapacity)
     mem.write64(3 * TiB, 0xDEADBEEFCAFEull);
     EXPECT_EQ(mem.read64(3 * TiB), 0xDEADBEEFCAFEull);
     EXPECT_EQ(mem.materializedChunks(), 1u);
+}
+
+TEST(PhysicalMemory, UnreservableCapacityStopsNamingIt)
+{
+    // 1 EiB is past any x86-64 or AArch64 user address space.
+    EXPECT_EXIT(PhysicalMemory(1ull << 60), ::testing::ExitedWithCode(1),
+                "cannot reserve 1152921504606846976 bytes");
+}
+
+TEST(PhysicalMemory, RebuiltMemoryReadsZeroWhereItsPredecessorWrote)
+{
+    // The second memory is built from the reservation the first one
+    // returned to the pool (the capacity is unique to this test, and
+    // not a whole number of pages).
+    const std::uint64_t capacity = 1 * MiB + 12 * KiB + 5;
+    std::vector<std::uint8_t> ones(10000, 0xFF);
+    {
+        PhysicalMemory first(capacity);
+        first.write(0, ones.data(), 100);
+        first.write(4 * KiB - 3, ones.data(), 6);
+        first.write(64 * KiB - 500, ones.data(), ones.size());
+        first.write(capacity - 8, ones.data(), 8);
+    }
+    PhysicalMemory second(capacity);
+    EXPECT_EQ(second.materializedChunks(), 0u);
+    std::vector<std::uint8_t> out(capacity, 0xAB);
+    second.read(0, out.data(), out.size());
+    for (std::size_t i = 0; i < out.size(); i++)
+        ASSERT_EQ(out[i], 0) << "byte " << i;
+}
+
+/** This process's resident set, from /proc/self/statm. */
+std::int64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(PhysicalMemory, SparseWritesKeepOnlyTheirPagesResident)
+{
+    // 8 B in each of 256 frames 4 MiB apart: the host holds about one
+    // 4 KiB page per write, not a 64 KiB chunk (16 MiB in all).
+    PhysicalMemory mem(1 * GiB);
+    const std::int64_t before = residentBytes();
+    for (std::uint64_t i = 0; i < 256; i++)
+        mem.write64(i * 4 * MiB, i + 1);
+    EXPECT_LT(residentBytes() - before, static_cast<std::int64_t>(4 * MiB));
+    EXPECT_EQ(mem.materializedChunks(), 256u);
+    EXPECT_EQ(mem.read64(255 * 4 * MiB), 256u);
 }
 
 TEST(PhysicalMemory, Word64Helpers)
