@@ -3,13 +3,13 @@
  * CBoard: the Clio memory node device (§3.2, §4, Fig. 3).
  *
  * One CBoard combines:
- *  - a hardware *fast path* (modeled ASIC/FPGA pipeline) that serves
- *    every data access: MAT routing, TLB + hash-page-table translation,
- *    permission check, bounded-cycle page-fault handling, DRAM access,
- *    and response generation. The pipeline is smooth (II = 1): its
- *    occupancy is one datapath word per cycle, and its latency per
- *    request is a bounded, known number of cycles plus at most one
- *    DRAM access for translation;
+ *  - a hardware *fast path* (modeled ASIC/FPGA pipeline) of stages,
+ *    each charged in one function: ingress (MAC), admitPipeline and
+ *    parseStage (MAT routing), translateOne (TLB hit or page walk,
+ *    bounded-cycle page fault), memoryAccess (DRAM), respondStage.
+ *    The pipeline is smooth (II = 1): its occupancy is one datapath
+ *    word per cycle, and its latency per request is a bounded, known
+ *    number of cycles plus at most one DRAM access for translation;
  *  - a software *slow path* (modeled ARM SoC) that owns metadata:
  *    VA allocation (overflow-free, with retries), VA free, physical
  *    page pre-generation into the async buffer, and shadow copies;
@@ -17,6 +17,12 @@
  *  - the two pieces of bounded state the paper allows the MN: the
  *    dedup buffer for retried non-idempotent requests (T4) and the
  *    synchronization unit for rlock/rfence (T3).
+ *
+ * Every path ends at complete(); reject() sends the NACK and the
+ * epoch-fence reply. fast_path.cc holds ingress, the fast path and
+ * both exits; slow_path.cc the ARM path and the async buffer;
+ * offload_dispatch.cc the extend path and OffloadVm; lifecycle.cc
+ * construction, crash/restart and the inflight table.
  *
  * Correctness-affecting operations mutate functional state (real bytes
  * in PhysicalMemory) at packet-arrival order, while the timing model
@@ -134,7 +140,7 @@ class CBoard
 
     /** Fraction of physical frames in use (controller pressure input,
      * §4.7); counts frames reserved in the async buffer as used. */
-    double memoryPressure() const;
+    double memoryPressure() const { return frames_.utilization(); }
 
     /**
      * Controller hook invoked when a process' VA windows on this MN
@@ -160,12 +166,12 @@ class CBoard
      * Fast-path timing for one request, bypassing the network — used
      * by the developer simulator (§5), the on-board traffic generator
      * bench (Fig. 9) and the latency breakdown (Fig. 14). The request
-     * runs the packet path as one part, so it mutates functional state
-     * and charges time exactly like a network request would. A read
-     * that faults answers with the pages that translated.
+     * runs the packet path as one part, so it mutates functional state,
+     * charges time and fills its reply exactly like a network request
+     * would (a failed request answers header-only).
      *
      * @param ready tick at which the request is at the pipeline head.
-     * @param[out] resp filled with status and data.
+     * @param[out] resp filled with status, data and value.
      * @return tick at which the fast path completes the request.
      */
     Tick serviceFastPath(const RequestMsg &req, Tick ready,
@@ -299,6 +305,22 @@ class CBoard
     /** Ingress from the network. */
     void onPacket(Packet pkt);
 
+    /** @{ Stages every path shares, each charged only here: the tick a
+     * packet arriving now clears the MAC, and the parse (MAT routing)
+     * and respond stages entered at `t`. */
+    Tick ingress() const { return eq_.now() + cfg_.fast_path.mac_latency; }
+    Tick
+    parseStage(Tick t) const
+    {
+        return t + cfg_.fast_path.parse_cycles * cfg_.fast_path.cycle;
+    }
+    Tick
+    respondStage(Tick t) const
+    {
+        return t + cfg_.fast_path.respond_cycles * cfg_.fast_path.cycle;
+    }
+    /** @} */
+
     /** Admit one request packet into its inflight entry: drop (and
      * count) a duplicated or malformed part, else record it. The first
      * accepted part binds the request and runs the dedup check for
@@ -314,7 +336,7 @@ class CBoard
                         Tick ready, Inflight &inflight, ResponseMsg *resp);
 
     /** Occupy the fast-path pipeline (II = 1: one datapath word per
-     * cycle) with `bytes` entering at `ready`, plus the parse stage.
+     * cycle) with `bytes` entering at `ready`, then the parse stage.
      * @return the tick the parsed request leaves the MAT. */
     Tick admitPipeline(Tick ready, std::uint64_t bytes);
 
@@ -348,16 +370,27 @@ class CBoard
                    std::uint64_t *moved = nullptr,
                    std::vector<std::uint8_t> *read_out = nullptr);
 
-    /** Run a complete slow-path request (alloc/free) and respond. */
-    void slowPathRequest(const Inflight &inflight);
+    /** Set a completed fast-path request's reply: its status, no data
+     * when it failed, an atomic's old value. */
+    static void fillReply(const RequestMsg &req, const Inflight &inflight,
+                          ResponseMsg &resp);
+
+    /** End the request in inflight slot `slot` at `done`: record it in
+     * the dedup buffer, advance the fence watermark to `done`, send
+     * `resp` after the respond stage and the egress MAC, free `slot`. */
+    void complete(std::uint32_t slot, Tick done,
+                  std::shared_ptr<ResponseMsg> resp);
+
+    /** Answer `pkt` header-only with `status` at `when`, keeping no
+     * request state: the corrupt-packet NACK and the epoch-fence reply. */
+    void reject(const Packet &pkt, Status status, Tick when);
+
+    /** Run the complete slow-path request (alloc/free) in `slot`. */
+    void slowPathRequest(std::uint32_t slot);
 
     /** Handle one accepted extend-path (offload) packet of the request
      * in inflight slot `slot`. */
     void extendPathPacket(const Packet &pkt, std::uint32_t slot);
-
-    /** Send a response message back to `dst` at tick `when`. */
-    void respondAt(Tick when, NodeId dst, ReqId req_id,
-                   std::shared_ptr<ResponseMsg> resp);
 
     /** Boot-time async-buffer pre-fill (ctor and restart()). */
     void bootstrapAsyncBuffer();
@@ -393,7 +426,7 @@ class CBoard
     Tick atomic_free_ = 0;    ///< synchronization unit serialization
     Tick arm_free_ = 0;       ///< slow-path ARM worker serialization
     Tick gate_open_ = 0;      ///< rfence gate: ops start after this
-    Tick last_op_done_ = 0;   ///< watermark of latest op completion
+    Tick last_op_done_ = 0;   ///< latest `done` tick: what a fence awaits
     /** @} */
 
     /** Async-buffer refill bookkeeping. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Device-level CBoard tests: fast-path timing determinism, dedup
- * buffer semantics, fence gating, out-of-memory behaviour, offload VM
- * isolation, async-buffer refill, and slow-path cost model.
+ * buffer semantics, fence gating, the direct path's reply, out-of-memory
+ * behaviour, offload VM isolation, async-buffer refill across a crash,
+ * and slow-path cost model.
  */
 
 #include <gtest/gtest.h>
@@ -280,6 +281,93 @@ TEST(CBoardDevice, FenceGatesLaterFastPathWork)
     EXPECT_TRUE(hw->done);
     EXPECT_TRUE(hf->done);
     EXPECT_EQ(out, 1u);
+}
+
+TEST(CBoardDevice, FenceWaitsForEarlierWorkNotItsResponse)
+{
+    // The fence watermark is the tick earlier work is done: a fence
+    // issued beside a write completes on the write's tick, because the
+    // write's respond stage is not work the fence must wait for (T3).
+    BoardFixture f;
+    const VirtAddr addr = f.mapPage(1, 1, 0);
+    auto warm = f.makeRead(1, addr, 8, 1);
+    ResponseMsg warm_resp;
+    f.board.serviceFastPath(warm, 0, warm_resp); // warm the TLB
+
+    RequestMsg write;
+    write.type = MsgType::kWrite;
+    write.pid = 1;
+    write.addr = addr;
+    write.size = 8;
+    write.data.assign(8, 0x5A);
+    write.req_id = write.orig_req_id = 2;
+    RequestMsg fence;
+    fence.type = MsgType::kFence;
+    fence.pid = 1;
+    fence.req_id = fence.orig_req_id = 3;
+    const Tick start = 100 * kMicrosecond;
+    ResponseMsg write_resp, fence_resp;
+    const Tick write_done = f.board.serviceFastPath(write, start, write_resp);
+    const Tick fence_done = f.board.serviceFastPath(fence, start, fence_resp);
+    EXPECT_EQ(write_resp.status, Status::kOk);
+    EXPECT_EQ(fence_resp.status, Status::kOk);
+    EXPECT_EQ(fence_done, write_done);
+}
+
+TEST(CBoardDevice, DirectPathAtomicRepliesOldValue)
+{
+    // The direct path fills its reply like the network path: an
+    // atomic answers with the word's value before it ran.
+    BoardFixture f;
+    const VirtAddr addr = f.mapPage(1, 1, 0);
+    RequestMsg add;
+    add.type = MsgType::kAtomic;
+    add.aop = AtomicOp::kFetchAdd;
+    add.pid = 1;
+    add.addr = addr;
+    add.arg0 = 5;
+    std::vector<std::uint64_t> olds;
+    for (ReqId id = 1; id <= 2; id++) {
+        add.req_id = add.orig_req_id = id;
+        ResponseMsg resp;
+        f.board.serviceFastPath(add, id * kMicrosecond, resp);
+        ASSERT_EQ(resp.status, Status::kOk);
+        olds.push_back(resp.value);
+    }
+    EXPECT_EQ(olds, (std::vector<std::uint64_t>{0, 5}));
+}
+
+TEST(CBoardDevice, RefillScheduledBeforeCrashSkipsTheRestartedBoard)
+{
+    // A refill belongs to the incarnation that scheduled it: one still
+    // queued at a crash must not fill the restarted board's buffer
+    // without paying the refill latency there.
+    BoardFixture f;
+    const std::uint64_t page = f.board.config().page_table.page_size;
+    auto faultPages = [&](int n) {
+        ResponseMsg alloc;
+        f.board.slowPathAlloc(1, n * page, kPermReadWrite, alloc);
+        ASSERT_EQ(alloc.status, Status::kOk);
+        for (int i = 0; i < n; i++) {
+            RequestMsg req;
+            req.type = MsgType::kWrite;
+            req.pid = 1;
+            req.addr = alloc.value + i * page;
+            req.size = 8;
+            req.data.assign(8, 1);
+            req.req_id = req.orig_req_id = static_cast<ReqId>(i + 1);
+            ResponseMsg resp;
+            f.board.serviceFastPath(req, f.eq.now(), resp);
+            ASSERT_EQ(resp.status, Status::kOk);
+        }
+    };
+    faultPages(40); // drains the async buffer below half: refill queued
+    f.board.crash();
+    f.board.restart();
+    const std::uint64_t free_after_restart = f.board.frames().freeFrames();
+    faultPages(10); // served from the fresh buffer; no refill is due
+    f.eq.runAll();
+    EXPECT_EQ(f.board.frames().freeFrames(), free_after_restart);
 }
 
 TEST(CBoardDevice, OffloadAddressSpacesAreIsolated)
