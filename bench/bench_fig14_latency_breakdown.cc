@@ -4,7 +4,9 @@
  * writes: wire serialization, on-board interconnect/DMA setup, TLB
  * lookup, TLB-miss DRAM fetch, and the data DRAM access. Values come
  * from the same calibrated constants the simulator charges, plus a
- * measured cross-check of the end-to-end totals.
+ * measured cross-check of the end-to-end totals. The miss row measures
+ * a forced TLB miss, and the bench fails unless that costs exactly one
+ * DRAM access more than the hit row.
  */
 
 #include "cluster/cluster.hh"
@@ -46,9 +48,11 @@ breakdown(const ModelConfig &cfg, std::uint64_t size, bool is_write,
     return b;
 }
 
-/** Measured on-board time for a warm request (cross-check). */
-double
-measuredNs(const ModelConfig &cfg, std::uint64_t size, bool is_write)
+/** Measured on-board time for a request after a warm-up (cross-check);
+ * with `tlb_miss`, its TLB entry is dropped after the warm-up. */
+Tick
+measured(const ModelConfig &cfg, std::uint64_t size, bool is_write,
+         bool tlb_miss)
 {
     Cluster cluster(cfg, 1, 1);
     CBoard &mn = cluster.mn(0);
@@ -69,11 +73,12 @@ measuredNs(const ModelConfig &cfg, std::uint64_t size, bool is_write)
     ResponseMsg resp;
     req.req_id = 1;
     mn.serviceFastPath(req, 0, resp); // warm TLB
+    if (tlb_miss)
+        mn.tlb().invalidate(pid, vpn);
     req.req_id = 2;
     ResponseMsg resp2;
     const Tick start = 10 * kMicrosecond;
-    const Tick done = mn.serviceFastPath(req, start, resp2);
-    return ticksToNs(done - start);
+    return mn.serviceFastPath(req, start, resp2) - start;
 }
 
 } // namespace
@@ -85,7 +90,7 @@ main()
                              "component");
     const auto cfg = ModelConfig::prototype();
     bench::header({"request", "WireDelay", "InterConn", "TLBHit",
-                   "TLBMiss", "DDRAccess", "fastpath(meas)"});
+                   "TLBMiss", "DDRAccess", "measured"});
     struct Case
     {
         const char *name;
@@ -93,6 +98,7 @@ main()
         bool is_write;
         bool tlb_miss;
     };
+    Tick read_hit = 0, read_miss = 0;
     for (const Case &c :
          {Case{"R-4B", 4, false, false}, Case{"R-4B-miss", 4, false, true},
           Case{"R-1KB", 1024, false, false},
@@ -100,9 +106,17 @@ main()
           Case{"W-1KB", 1024, true, false}}) {
         const Breakdown b = breakdown(cfg, c.size, c.is_write,
                                       c.tlb_miss);
+        const Tick t = measured(cfg, c.size, c.is_write, c.tlb_miss);
+        if (c.size == 4 && !c.is_write)
+            (c.tlb_miss ? read_miss : read_hit) = t;
         bench::row(c.name, {b.wire_ns, b.interconn_ns, b.tlb_hit_ns,
-                            b.tlb_miss_ns, b.ddr_ns,
-                            measuredNs(cfg, c.size, c.is_write)});
+                            b.tlb_miss_ns, b.ddr_ns, ticksToNs(t)});
+    }
+    if (read_miss - read_hit != cfg.dram.access_latency) {
+        bench::note("FAIL: R-4B-miss measures " +
+                    std::to_string(ticksToNs(read_miss - read_hit)) +
+                    " ns more than R-4B, not one DRAM access");
+        return 1;
     }
     bench::note("expected shape: DDR access and wire serialization "
                 "dominate, growing with size; TLB miss adds exactly "
