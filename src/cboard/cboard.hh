@@ -18,11 +18,11 @@
  *    dedup buffer for retried non-idempotent requests (T4) and the
  *    synchronization unit for rlock/rfence (T3).
  *
- * Every path ends at complete(); reject() sends the NACK and the
- * epoch-fence reply. fast_path.cc holds ingress, the fast path and
- * both exits; slow_path.cc the ARM path and the async buffer;
- * offload_dispatch.cc the extend path and OffloadVm; lifecycle.cc
- * construction, crash/restart and the inflight table.
+ * Every network request ends at complete(); reject() sends the NACK
+ * and the epoch-fence reply. fast_path.cc holds ingress, the fast
+ * path and both exits; slow_path.cc the ARM path and the async
+ * buffer; offload_dispatch.cc the extend path and OffloadVm;
+ * lifecycle.cc construction, crash/restart and the inflight table.
  *
  * Correctness-affecting operations mutate functional state (real bytes
  * in PhysicalMemory) at packet-arrival order, while the timing model
