@@ -57,12 +57,6 @@ struct PointResult
     std::uint64_t copy_reads = 0;
 };
 
-double
-ticksToUs(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
-
 /** One crash-and-heal episode; everything below is pure simulation. */
 PointResult
 runRecovery(const std::string &sweep, std::uint64_t chunk_bytes,

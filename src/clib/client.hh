@@ -172,9 +172,9 @@ class ClioClient
     CNode &cnode() { return cn_; }
     const CNode &cnode() const { return cn_; }
 
-    /** @{ Controller-side replica registry (health plane): when set,
-     * ReplicatedRegions built over this client announce themselves so
-     * the controller can auto-re-replicate on MN death. */
+    /** @{ Controller-side replica registry (the Cluster's): when set,
+     * ReplicatedRegions built over this client register there, so the
+     * controller's verdict on an MN reaches their replicas. */
     void setReplicaRegistry(ReplicaRegistry *registry)
     {
         replica_registry_ = registry;

@@ -7,6 +7,16 @@
 
 namespace clio {
 
+ReplicatedRegion *
+ReplicaRegistry::find(std::uint64_t id) const
+{
+    for (const Entry &e : entries_) {
+        if (e.id == id)
+            return e.region;
+    }
+    return nullptr;
+}
+
 ReplicatedRegion::ReplicatedRegion(ClioClient &client, std::uint64_t size,
                                    NodeId primary_mn, NodeId backup_mn)
     : client_(client), size_(size), primary_mn_(primary_mn),
@@ -26,18 +36,14 @@ ReplicatedRegion::ReplicatedRegion(ClioClient &client, std::uint64_t size,
         backup_ = out.completions[b].value;
 
     resync_cq_.setDrainHook([this] { pumpResync(); });
-    if (ok() && client_.replicaRegistry() != nullptr) {
+    if (ok() && client_.replicaRegistry() != nullptr)
         client_.replicaRegistry()->addRegion(this);
-        registered_ = true;
-    }
 }
 
 ReplicatedRegion::~ReplicatedRegion()
 {
-    if (registered_) {
+    if (client_.replicaRegistry() != nullptr)
         client_.replicaRegistry()->removeRegion(this);
-        registered_ = false;
-    }
     // Destroying mid-resync trips resync_cq_'s outstanding-watch
     // assertion — loud, by design: the controller must abort or finish
     // a resync before the region goes away.
@@ -48,51 +54,61 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
                         std::uint64_t len)
 {
     clio_assert(offset + len <= size_, "replicated write out of range");
-    if (resync_.reading && offset < resync_.cur_off + resync_.cur_len &&
-        resync_.cur_off < offset + len) {
-        // The chunk's copy-write will carry bytes read before this
-        // write; hold the write until that copy-write is issued, so
-        // the mirror below queues behind it (see file docs).
-        const bool ok = client_.cnode().eventQueue().runUntil(
-            [this] { return !resync_.reading; });
-        clio_assert(ok, "simulation drained with a resync read in flight");
+    // A live replica's answer: any failure but a transport one, which
+    // resends the leg until it lands or its replica is declared dead.
+    const auto answered = [](Status st) {
+        return st != Status::kOk && st != Status::kTimeout &&
+               st != Status::kRetryExceeded && st != Status::kEpochFenced;
+    };
+    bool p_landed = false, b_landed = false;
+    for (;;) {
+        if (!client_.cnode().alive())
+            return Status::kTimeout; // the issuing process is gone
+        if (resync_.reading && offset < resync_.cur_off + resync_.cur_len &&
+            resync_.cur_off < offset + len) {
+            // The chunk's copy-write will carry bytes read before this
+            // write; hold the write until that copy-write is issued, so
+            // the mirror below queues behind it (see file docs).
+            const bool ok = client_.cnode().eventQueue().runUntil(
+                [this] { return !resync_.reading; });
+            clio_assert(ok, "simulation drained with a resync read in flight");
+        }
+        // Write-all in one doorbell: both replica writes leave together.
+        SubmissionBatch batch(client_);
+        const bool p_sent = primary_alive_ && !p_landed;
+        const bool b_sent = backup_alive_ && !b_landed;
+        const std::size_t p_index =
+            p_sent ? batch.write(primary_ + offset, src, len) : 0;
+        const std::size_t b_index =
+            b_sent ? batch.write(backup_ + offset, src, len) : 0;
+        if (batch.empty())
+            return (p_landed || b_landed) ? Status::kOk
+                                          : Status::kRetryExceeded;
+        if (resync_.active && !resync_.aborting &&
+            resync_.target_va != 0 && offset < resync_.read_issued_end) {
+            // Mirror into the resync target: its copied (or
+            // read-issued) prefix would otherwise go stale. Every chunk
+            // this overlaps has its copy-write issued, and T2
+            // serializes the mirror after it (WAW on the target VA), so
+            // the target converges to the latest data; writes entirely
+            // beyond the issued prefix are picked up by the chunk reads
+            // themselves. The mirror's own completion does not gate the
+            // foreground write's success.
+            batch.write(resync_.target_va + offset, src, len);
+        }
+        const BatchOutcome out = batch.submitAndWait();
+        const Status p_st = p_sent ? out.completions[p_index].status
+                                   : Status::kOk;
+        const Status b_st = b_sent ? out.completions[b_index].status
+                                   : Status::kOk;
+        p_landed = p_landed || (p_sent && p_st == Status::kOk);
+        b_landed = b_landed || (b_sent && b_st == Status::kOk);
+        // A leg whose replica was declared dead meanwhile no longer counts.
+        if (primary_alive_ && answered(p_st))
+            return p_st;
+        if (backup_alive_ && answered(b_st))
+            return b_st;
     }
-    // Write-all in one doorbell: both replica writes leave together.
-    SubmissionBatch batch(client_);
-    std::size_t p_index = 0, b_index = 0;
-    bool p_sent = false, b_sent = false;
-    if (primary_alive_) {
-        p_index = batch.write(primary_ + offset, src, len);
-        p_sent = true;
-    }
-    if (backup_alive_) {
-        b_index = batch.write(backup_ + offset, src, len);
-        b_sent = true;
-    }
-    if (batch.empty())
-        return Status::kRetryExceeded; // both replicas failed
-    if (resync_.active && !resync_.aborting && resync_.target_va != 0 &&
-        offset < resync_.read_issued_end) {
-        // Mirror into the resync target: its copied (or read-issued)
-        // prefix would otherwise go stale. Every chunk this overlaps
-        // has its copy-write issued, and T2 serializes the mirror
-        // after it (WAW on the target VA), so the target converges to
-        // the latest data; writes entirely beyond the issued prefix
-        // are picked up by the chunk reads themselves. The mirror's
-        // own completion does not gate the foreground write's
-        // success.
-        batch.write(resync_.target_va + offset, src, len);
-    }
-    const BatchOutcome out = batch.submitAndWait();
-    // A replica that exhausted retries is marked failed; the write
-    // succeeds if at least one replica holds the data (degraded mode).
-    const bool p_ok = p_sent && out.completions[p_index].ok();
-    const bool b_ok = b_sent && out.completions[b_index].ok();
-    if (p_sent && !p_ok)
-        primary_alive_ = false;
-    if (b_sent && !b_ok)
-        backup_alive_ = false;
-    return (p_ok || b_ok) ? Status::kOk : Status::kRetryExceeded;
 }
 
 Status
@@ -101,18 +117,14 @@ ReplicatedRegion::read(std::uint64_t offset, void *dst, std::uint64_t len)
     clio_assert(offset + len <= size_, "replicated read out of range");
     if (primary_alive_) {
         const Status st = client_.rread(primary_ + offset, dst, len);
-        if (st == Status::kOk)
+        if (st == Status::kOk || !backup_alive_)
             return st;
-        // Primary unreachable/confused: fail over.
-        primary_alive_ = false;
+        // Primary unreachable or confused: fail over, marking nothing.
     }
     if (!backup_alive_)
         return Status::kRetryExceeded;
     failovers_++;
-    const Status st = client_.rread(backup_ + offset, dst, len);
-    if (st != Status::kOk)
-        backup_alive_ = false;
-    return st;
+    return client_.rread(backup_ + offset, dst, len);
 }
 
 Status
@@ -209,14 +221,9 @@ ReplicatedRegion::pumpResync()
           case kTagRead:
             resync_.reading = false;
             if (!c.ok()) {
-                // The SURVIVOR died mid-copy: no healthy source left.
-                // The half-copied target is abandoned, never marked
-                // healthy, and the source slot is marked dead so
-                // callers see the region as lost.
-                if (primary_alive_)
-                    primary_alive_ = false;
-                else
-                    backup_alive_ = false;
+                // The survivor did not answer: abort and abandon the
+                // half-copied target. Whether its MN is dead is the
+                // controller's call, not this read's.
                 finishResync(Status::kTimeout);
                 break;
             }
@@ -292,10 +299,8 @@ ReplicatedRegion::destroy()
 {
     clio_assert(!resync_.active,
                 "destroying a region with a resync in flight");
-    if (registered_) {
+    if (client_.replicaRegistry() != nullptr)
         client_.replicaRegistry()->removeRegion(this);
-        registered_ = false;
-    }
     if (primary_) {
         client_.rfree(primary_);
         primary_ = 0;

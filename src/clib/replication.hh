@@ -5,21 +5,36 @@
  * replicated writes for users to build their own services". This is
  * that primitive: a region mirrored across two MNs, with writes going
  * to both replicas and reads served by the primary, failing over to
- * the backup when the primary stops answering.
+ * the backup when the primary does not answer.
  *
- * Consistency: writes complete when BOTH replicas ack (write-all);
+ * Consistency: writes complete when BOTH live replicas ack (write-all);
  * reads are served by one replica (read-one). Combined with Clio's
  * per-request ordering this gives linearizable single-writer
  * semantics; multi-writer applications coordinate with rlock as
  * usual.
  *
- * Self-healing: regions announce themselves to a ReplicaRegistry
- * (implemented by the cluster's health plane) when one is attached to
- * their client. When the controller declares a replica's MN dead it
- * calls markMnDead() and later drives beginResync() — an asynchronous
- * chunked copy from the survivor onto a replacement MN that runs as
- * ordinary simulator events, concurrently with foreground traffic.
- * A client's heal() starts the same copy and waits for it.
+ * Liveness has one owner, the controller (§4.7): a replica is dead
+ * only once the cluster declares its MN dead and calls markMnDead() —
+ * at once on crashMn() with the health plane off, on the failure
+ * detector's verdict with it on. A request that runs out of retries
+ * proves nothing (a live MN inside a packet-loss window looks the
+ * same), so the region never marks a replica itself:
+ *  - a write leg that fails in transport (kTimeout, kRetryExceeded,
+ *    kEpochFenced) is resent until it lands or its replica is declared
+ *    dead; any other status fails the write. So with the health plane
+ *    on, a write to a crashed replica waits for the detector's verdict,
+ *    and with it off, a write to a cut-off (not crashed) MN waits out
+ *    the partition. A resent leg is a new request, so an attempt the CN
+ *    gave up on may still land after it: the ambiguity a failed rwrite
+ *    already has;
+ *  - a failed read fails over to the other replica;
+ *  - a failed chunk read aborts a resync and leaves the survivor alone.
+ *
+ * Self-healing: regions register in the Cluster's ReplicaRegistry.
+ * After a verdict the health plane drives beginResync() — an
+ * asynchronous chunked copy from the survivor onto a replacement MN
+ * that runs as ordinary simulator events, concurrently with foreground
+ * traffic. A client's heal() starts the same copy and waits for it.
  * During resync, reads stay on the survivor (degraded mode) and
  * writes mirror into the read-issued prefix of the target, so the
  * region is consistent the instant the last chunk lands; the swap to
@@ -30,6 +45,7 @@
  * VA). Nothing orders a mirror after a copy-write not yet issued, so a
  * write overlapping the chunk whose read is in flight is held until
  * that read's completion is handled, which issues the copy-write.
+ * Every resend pass re-checks the hold and the mirror.
  */
 
 #ifndef CLIO_CLIB_REPLICATION_HH
@@ -47,17 +63,39 @@ namespace clio {
 class ReplicatedRegion;
 
 /**
- * Controller-side registry of replicated regions. Implemented by the
- * cluster health plane; declared here so clib stays independent of
- * the cluster layer. Regions register at construction (when their
- * client carries a registry) and unregister at destroy()/destruction.
+ * The controller's replicated regions, in registration order, owned by
+ * the Cluster and handed to every client. Ids are sequential and never
+ * reused: the health plane keys its resync queue and salts replacement
+ * probing by them (pointers would leak allocator nondeterminism).
  */
 class ReplicaRegistry
 {
   public:
-    virtual ~ReplicaRegistry() = default;
-    virtual void addRegion(ReplicatedRegion *region) = 0;
-    virtual void removeRegion(ReplicatedRegion *region) = 0;
+    struct Entry
+    {
+        ReplicatedRegion *region = nullptr;
+        std::uint64_t id = 0;
+    };
+
+    ReplicaRegistry() = default;
+    ReplicaRegistry(const ReplicaRegistry &) = delete; // clients hold it
+    ReplicaRegistry &operator=(const ReplicaRegistry &) = delete;
+    void addRegion(ReplicatedRegion *r)
+    {
+        entries_.push_back({r, next_id_++});
+    }
+    /** No-op for a region that never registered. */
+    void removeRegion(ReplicatedRegion *r)
+    {
+        std::erase_if(entries_, [r](const Entry &e) { return e.region == r; });
+    }
+    /** The region registered as `id`; null once it is gone. */
+    ReplicatedRegion *find(std::uint64_t id) const;
+    const std::vector<Entry> &entries() const { return entries_; }
+
+  private:
+    std::vector<Entry> entries_;
+    std::uint64_t next_id_ = 1;
 };
 
 /** A fixed-size region mirrored on two memory nodes. */
@@ -79,15 +117,17 @@ class ReplicatedRegion
     bool ok() const { return primary_ != 0 && backup_ != 0; }
     std::uint64_t size() const { return size_; }
 
-    /** Offset-addressed write to BOTH replicas (completes when both
-     * ack; a replica that exhausts retries marks itself failed).
-     * While a resync runs, the write additionally mirrors into the
-     * already-copied prefix of the resync target. */
+    /** Offset-addressed write to BOTH live replicas: kOk once each leg
+     * landed or its replica was declared dead (see file docs);
+     * kRetryExceeded when none is live, kTimeout when the client's CN
+     * is down, else the first non-transport failure. During a resync it
+     * also mirrors into the already-copied prefix of the target. */
     Status write(std::uint64_t offset, const void *src,
                  std::uint64_t len);
 
     /** Offset-addressed read from the primary, failing over to the
-     * backup when the primary is marked or becomes unreachable. */
+     * backup when the primary is dead or its read fails. A failed read
+     * marks nothing. */
     Status read(std::uint64_t offset, void *dst, std::uint64_t len);
 
     /** @{ Health introspection. */
@@ -116,18 +156,21 @@ class ReplicatedRegion
      * spare board) must differ from the survivor's MN. kOk when both
      * replicas are already healthy; kRetryExceeded when both are dead
      * (nothing left to copy from) or a resync is already running;
-     * kTimeout when the SURVIVOR dies mid-copy (the half-copied
-     * replacement is abandoned, never marked healthy); otherwise the
-     * replacement's alloc or write status. The dead replica's old VA
+     * kTimeout when a chunk read from the survivor fails or its MN is
+     * declared dead mid-copy (the half-copied replacement is abandoned,
+     * never marked healthy; a survivor that only missed a read stays
+     * live for a later heal()); otherwise the replacement's alloc or
+     * write status. The dead replica's old VA
      * is NOT freed — its board lost that state when it crashed.
      */
     Status heal(NodeId replacement_mn);
 
-    /** @{ Controller hooks (health plane). */
+    /** @{ Controller hooks (cluster + health plane). */
 
-    /** Mark any replica living on MN `mn` dead (board declared dead by
-     * the failure detector). Aborts an active resync whose source or
-     * target sits on that MN. */
+    /** Mark any replica living on MN `mn` dead: the controller declared
+     * the board dead (Cluster::onMnDeclaredDead), the only way a
+     * replica dies. Aborts an active resync whose source or target
+     * sits on that MN. */
     void markMnDead(NodeId mn);
 
     /**
@@ -168,7 +211,6 @@ class ReplicatedRegion
     bool backup_alive_ = true;
     std::uint64_t failovers_ = 0;
     std::uint64_t resyncs_ = 0;
-    bool registered_ = false;
 
     /** Asynchronous resync state (one chunk in flight at a time; the
      * concurrency cap across regions lives in the health plane). */

@@ -150,6 +150,8 @@ Cluster::restartMn(std::uint32_t i)
 void
 Cluster::onMnDeclaredDead(std::uint32_t i)
 {
+    for (const ReplicaRegistry::Entry &e : replicas_.entries())
+        e.region->markMnDead(mns_[i]->nodeId());
     if (!sharded_)
         return;
     // The dead MN's vnodes leave the ring; affected pids re-probe
@@ -257,8 +259,7 @@ Cluster::createSharedClient(std::uint32_t cn_index,
 ClioClient &
 Cluster::addClient(std::unique_ptr<ClioClient> client)
 {
-    if (health_)
-        client->setReplicaRegistry(health_.get());
+    client->setReplicaRegistry(&replicas_);
     if (sharded_) {
         // Every allocation of the pid lands on its directory MN (a
         // migration rewrites routing via redirectRegion, not here).

@@ -23,6 +23,7 @@
 #include "cboard/cboard.hh"
 #include "clib/client.hh"
 #include "clib/cnode.hh"
+#include "clib/replication.hh"
 #include "cluster/shard_map.hh"
 #include "net/network.hh"
 #include "sim/config.hh"
@@ -150,11 +151,8 @@ class Cluster
     std::vector<MigrationReport> balancePressure();
 
     /** @{ Failure domains (chaos engine). crashMn() kills the board
-     * (volatile state lost) and marks its network port down; with
-     * several racks the controller reacts like §4.7's global controller
-     * would: the dead MN leaves the ring and every pid homed on it is
-     * re-homed rack-first onto a surviving MN (already-granted regions
-     * keep explicit owner entries, so only NEW allocations move).
+     * (volatile state lost) and marks its network port down; the
+     * controller then declares it dead (onMnDeclaredDead).
      * restartMn() brings the board back EMPTY and re-adds its vnodes
      * to the ring — deterministic points mean placements are restored
      * exactly, so re-homed pids move home again. killRack()/
@@ -180,11 +178,22 @@ class Cluster
      * Heartbeats self-reschedule forever, so drive health-enabled
      * simulations with runUntilTime(), not run(). */
     HealthPlane *health() { return health_.get(); }
-    /** Controller placement reaction to a detector-declared MN death /
-     * rejoin (called by the health plane). */
+    /**
+     * The controller's verdict that MN `i` is dead, from crashMn() with
+     * the health plane off or the failure detector with it on. It marks
+     * every replica on the MN dead, the only place a replica dies
+     * (clib/replication.hh); with several racks the MN also leaves the
+     * ring and its pids are re-homed rack-first onto a surviving MN
+     * (§4.7; already-granted regions keep explicit owner entries, so
+     * only NEW allocations move).
+     */
     void onMnDeclaredDead(std::uint32_t i);
+    /** Placement reaction to an MN rejoin (restartMn() / detector). */
     void onMnRejoined(std::uint32_t i);
     /** @} */
+
+    /** Every ReplicatedRegion built over this cluster's clients. */
+    const ReplicaRegistry &replicaRegistry() const { return replicas_; }
 
   private:
     /** Controller: hand `min_bytes` of fresh contiguous regions of
@@ -249,6 +258,8 @@ class Cluster
     ShardMap shard_map_;
     /** Directory: pid -> home MN index (4 bytes per process). */
     std::vector<std::uint32_t> pid_home_mn_;
+
+    ReplicaRegistry replicas_;
 
     /** Controller health plane (null unless cfg.health.enabled). */
     std::unique_ptr<HealthPlane> health_;

@@ -266,7 +266,7 @@ HealthPlane::onNodeDead(NodeId node)
     logEvent(HealthEvent::Kind::kDead, node);
     if (it->second.first) {
         stats_.mn_deaths++;
-        onMnDead(it->second.second, node);
+        onMnDead(it->second.second);
     } else {
         stats_.cn_deaths++;
         onCnDead(node);
@@ -293,18 +293,18 @@ HealthPlane::onNodeRejoined(NodeId node)
 }
 
 void
-HealthPlane::onMnDead(std::uint32_t mn_index, NodeId node)
+HealthPlane::onMnDead(std::uint32_t mn_index)
 {
-    // Controller placement reacts first (ring removal + re-homing)...
+    // The cluster reacts first: it marks the dead MN's replicas and
+    // re-homes its pids. Then replica repair: queue a resync for every
+    // region left degraded, in region registration order.
     cluster_.onMnDeclaredDead(mn_index);
-    // ...then replica repair: mark dead replicas and queue resyncs, in
-    // region registration order.
-    for (RegionEntry &e : entries_) {
-        ReplicatedRegion *r = e.region;
-        r->markMnDead(node);
+    for (const ReplicaRegistry::Entry &e :
+         cluster_.replicaRegistry().entries()) {
+        const ReplicatedRegion *r = e.region;
         if (r->degraded() && !r->bothDead() && !r->resyncActive() &&
-            !e.queued)
-            queueResync(e);
+            queued_.insert(e.id).second)
+            pending_.push_back(e.id);
     }
     pumpResyncQueue();
 }
@@ -343,48 +343,8 @@ HealthPlane::onCnDead(NodeId node)
 }
 
 // ---------------------------------------------------------------------
-// Replica registry + resync orchestration
+// Resync orchestration
 // ---------------------------------------------------------------------
-
-void
-HealthPlane::addRegion(ReplicatedRegion *region)
-{
-    RegionEntry e;
-    e.region = region;
-    e.id = next_region_id_++;
-    entries_.push_back(e);
-}
-
-void
-HealthPlane::removeRegion(ReplicatedRegion *region)
-{
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->region != region)
-            continue;
-        const std::uint64_t id = it->id;
-        entries_.erase(it);
-        for (auto p = pending_.begin(); p != pending_.end();)
-            p = (*p == id) ? pending_.erase(p) : std::next(p);
-        return;
-    }
-}
-
-HealthPlane::RegionEntry *
-HealthPlane::findEntry(std::uint64_t id)
-{
-    for (RegionEntry &e : entries_) {
-        if (e.id == id)
-            return &e;
-    }
-    return nullptr;
-}
-
-void
-HealthPlane::queueResync(RegionEntry &entry)
-{
-    entry.queued = true;
-    pending_.push_back(entry.id);
-}
 
 void
 HealthPlane::pumpResyncQueue()
@@ -393,22 +353,19 @@ HealthPlane::pumpResyncQueue()
            !pending_.empty()) {
         const std::uint64_t id = pending_.front();
         pending_.pop_front();
-        RegionEntry *e = findEntry(id);
-        if (e == nullptr)
-            continue; // region destroyed while queued
-        ReplicatedRegion *r = e->region;
-        // A region whose owning CN is down belongs to a dead process;
-        // nothing to repair for it (a restarted process re-creates its
-        // own regions).
-        if (!r->degraded() || r->bothDead() || r->resyncActive() ||
-            !r->client().cnode().alive()) {
-            e->queued = false;
+        ReplicatedRegion *r = cluster_.replicaRegistry().find(id);
+        // Nothing to repair for a region destroyed while queued, nor for
+        // one whose owning CN is down: it belongs to a dead process (a
+        // restarted process re-creates its own regions).
+        if (r == nullptr || !r->degraded() || r->bothDead() ||
+            r->resyncActive() || !r->client().cnode().alive()) {
+            queued_.erase(id);
             continue;
         }
         const NodeId replacement = pickReplacement(*r, id);
         if (replacement == 0) {
             // No candidate MN right now (e.g. a whole rack is down):
-            // retry after the backoff. The entry stays queued.
+            // retry after the backoff. The region stays queued.
             deferRequeue(id);
             continue;
         }
@@ -416,7 +373,7 @@ HealthPlane::pumpResyncQueue()
             replacement,
             [this, id](Status st) { onResyncDone(id, st == Status::kOk); });
         if (!started) {
-            e->queued = false;
+            queued_.erase(id);
             continue;
         }
         active_resyncs_++;
@@ -430,20 +387,18 @@ HealthPlane::onResyncDone(std::uint64_t region_id, bool success)
 {
     clio_assert(active_resyncs_ > 0, "resync completion underflow");
     active_resyncs_--;
-    RegionEntry *e = findEntry(region_id);
     if (success) {
         stats_.resyncs_completed++;
         logEvent(HealthEvent::Kind::kResyncCompleted, 0, region_id);
-        if (e != nullptr)
-            e->queued = false;
+        queued_.erase(region_id);
     } else {
         stats_.resyncs_failed++;
         logEvent(HealthEvent::Kind::kResyncFailed, 0, region_id);
-        if (e != nullptr && e->region->degraded() &&
-            !e->region->bothDead())
+        const ReplicatedRegion *r = cluster_.replicaRegistry().find(region_id);
+        if (r != nullptr && r->degraded() && !r->bothDead())
             deferRequeue(region_id); // still repairable: keep it queued
-        else if (e != nullptr)
-            e->queued = false;
+        else
+            queued_.erase(region_id);
     }
     pumpResyncQueue();
 }
@@ -451,11 +406,9 @@ HealthPlane::onResyncDone(std::uint64_t region_id, bool success)
 void
 HealthPlane::deferRequeue(std::uint64_t region_id)
 {
+    // The pump drops the id if the region is gone or repaired by then.
     stats_.resyncs_deferred++;
     eq_.scheduleAfter(cfg_.reheal_backoff, [this, region_id] {
-        RegionEntry *e = findEntry(region_id);
-        if (e == nullptr || !e->queued)
-            return; // destroyed or repaired meanwhile
         pending_.push_back(region_id);
         pumpResyncQueue();
     });

@@ -29,22 +29,24 @@
  * the controller (a control-plane RPC, modeled as instantaneous) and
  * retry.
  *
- * On declaring an MN dead the controller walks its replica registry
- * (populated by ReplicatedRegion construction), marks affected
- * replicas dead, and drives automatic re-replication: a rack-aware
- * replacement is chosen via the shard ring, and the surviving copy is
- * streamed over as ordinary simulator events (ReplicatedRegion::
- * beginResync), at most HealthConfig::max_concurrent_resyncs at a
- * time. Reads stay on the survivor during the copy (degraded mode);
- * the region counts as fully redundant only when the last chunk
- * lands. On declaring a CN dead the controller GCs what the dead
- * processes left behind on MNs: force-releases their locks and tears
- * down per-process state for pids that lived exclusively on that CN.
+ * On declaring an MN dead the plane hands the verdict to the cluster
+ * (Cluster::onMnDeclaredDead), which marks every replica on that MN
+ * dead in its replica registry; the plane then queues a resync for
+ * each region left degraded and drives automatic re-replication: a
+ * rack-aware replacement is chosen via the shard ring, and the
+ * surviving copy is streamed over as ordinary simulator events
+ * (ReplicatedRegion::beginResync), at most
+ * HealthConfig::max_concurrent_resyncs at a time. Reads stay on the
+ * survivor during the copy (degraded mode); the region counts as fully
+ * redundant only when the last chunk lands. On declaring a CN dead the
+ * controller GCs what the dead processes left behind on MNs:
+ * force-releases their locks and tears down per-process state for pids
+ * that lived exclusively on that CN.
  *
- * Everything here is deterministic: detector entries are kept in
- * registration order, the resync queue is FIFO with ids (never
- * pointers) as keys, and replacement probing is salted by the stable
- * region id.
+ * Everything here is deterministic: detector entries and registered
+ * regions are kept in registration order, the resync queue is FIFO
+ * with the registry's region ids (never pointers) as keys, and
+ * replacement probing is salted by the stable region id.
  */
 
 #ifndef CLIO_CLUSTER_HEALTH_HH
@@ -53,6 +55,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "clib/replication.hh"
@@ -196,7 +199,7 @@ const char *to_string(HealthEvent::Kind k);
  * simulation never drains — drive it with runUntilTime()/runUntil(),
  * not Cluster::run().
  */
-class HealthPlane : public ReplicaRegistry
+class HealthPlane
 {
   public:
     explicit HealthPlane(Cluster &cluster);
@@ -212,24 +215,8 @@ class HealthPlane : public ReplicaRegistry
     const HealthStats &stats() const { return stats_; }
     const std::vector<HealthEvent> &events() const { return events_; }
     std::uint32_t activeResyncs() const { return active_resyncs_; }
-    std::size_t regionCount() const { return entries_.size(); }
-
-    /** @{ ReplicaRegistry (called by ReplicatedRegion). */
-    void addRegion(ReplicatedRegion *region) override;
-    void removeRegion(ReplicatedRegion *region) override;
-    /** @} */
 
   private:
-    struct RegionEntry
-    {
-        ReplicatedRegion *region = nullptr;
-        /** Stable sequential id: queue key and replacement-probe salt
-         * (pointers would leak allocator nondeterminism). */
-        std::uint64_t id = 0;
-        /** In pending_ or waiting on a backoff requeue. */
-        bool queued = false;
-    };
-
     void onPacket(Packet pkt);
     /** Run detector expiries due now and act on the transitions. */
     void runSweep();
@@ -238,11 +225,9 @@ class HealthPlane : public ReplicaRegistry
 
     void onNodeDead(NodeId node);
     void onNodeRejoined(NodeId node);
-    void onMnDead(std::uint32_t mn_index, NodeId node);
+    void onMnDead(std::uint32_t mn_index);
     void onCnDead(NodeId node);
 
-    RegionEntry *findEntry(std::uint64_t id);
-    void queueResync(RegionEntry &entry);
     /** Start queued resyncs while slots remain under the cap. */
     void pumpResyncQueue();
     void onResyncDone(std::uint64_t region_id, bool success);
@@ -266,9 +251,9 @@ class HealthPlane : public ReplicaRegistry
     /** node id -> (is_mn, index into the cluster's mns_/cns_). */
     std::map<NodeId, std::pair<bool, std::uint32_t>> members_;
 
-    /** Registration order; ids are never reused. */
-    std::vector<RegionEntry> entries_;
-    std::uint64_t next_region_id_ = 1;
+    /** Ids of the regions the plane is repairing: pending, resyncing,
+     * or waiting on a backoff requeue. */
+    std::set<std::uint64_t> queued_;
     /** FIFO of region ids awaiting a resync slot. */
     std::deque<std::uint64_t> pending_;
     std::uint32_t active_resyncs_ = 0;

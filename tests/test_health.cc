@@ -253,7 +253,7 @@ TEST(HealthPlane, AutoResyncRestoresRedundancyWithoutClientHeal)
     ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
-    EXPECT_EQ(hp->regionCount(), 1u);
+    EXPECT_EQ(cluster.replicaRegistry().entries().size(), 1u);
     for (std::uint64_t off = 0; off < 1 * MiB; off += 128 * KiB) {
         std::uint64_t v = 0xAB5E0000 + off;
         ASSERT_EQ(region.write(off, &v, 8), Status::kOk);
@@ -274,10 +274,13 @@ TEST(HealthPlane, AutoResyncRestoresRedundancyWithoutClientHeal)
     EXPECT_EQ(hp->activeResyncs(), 0u);
 
     // The copy is real: kill the old backup too, so every read must be
-    // served by the freshly resynced replica on MN 2.
+    // served by the freshly resynced replica on MN 2. The write's leg
+    // to MN 1 is resent until the detector declares MN 1 dead; then it
+    // acks on MN 2 alone.
     cluster.crashMn(1);
     std::uint64_t marker = 1;
-    ASSERT_EQ(region.write(0, &marker, 8), Status::kOk); // mark dead
+    ASSERT_EQ(region.write(0, &marker, 8), Status::kOk);
+    EXPECT_FALSE(region.backupAlive());
     for (std::uint64_t off = 128 * KiB; off < 1 * MiB;
          off += 128 * KiB) {
         std::uint64_t got = 0;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the §8 replicated-write primitive: write-all/read-one
- * semantics, replica placement, failover, and degraded operation.
+ * semantics, replica placement, failover, degraded operation, and the
+ * rule that only the controller's verdict marks a replica dead.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "chaos/fault_plan.hh"
 #include "clib/replication.hh"
 #include "cluster/cluster.hh"
 #include "cluster/health.hh"
@@ -44,16 +46,20 @@ TEST(Replication, FailoverServesFromBackup)
     std::uint64_t v = 0xD00D;
     ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
 
-    // "Crash" the primary: wipe this process' state there, so reads
-    // against it fail (the failure mode a real MN crash+restart has).
+    // Wipe this process' state on the primary, so reads against it
+    // fail: the read fails over to the backup and marks nothing.
     cluster.mn(0).destroyProcess(client.pid());
     std::uint64_t out = 0;
     ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
     EXPECT_EQ(out, 0xD00Du);
     EXPECT_EQ(region.failovers(), 1u);
-    EXPECT_FALSE(region.primaryAlive());
+    EXPECT_TRUE(region.primaryAlive());
 
-    // Writes continue in degraded mode against the backup.
+    // Only the controller's verdict marks the primary dead; with the
+    // health plane off it comes with the crash itself. Writes then
+    // continue in degraded mode against the backup.
+    cluster.crashMn(0);
+    EXPECT_FALSE(region.primaryAlive());
     std::uint64_t v2 = 0xD11D;
     ASSERT_EQ(region.write(8, &v2, 8), Status::kOk);
     ASSERT_EQ(region.read(8, &out, 8), Status::kOk);
@@ -110,17 +116,22 @@ TEST(Replication, FailoverUnderInflightBatchedWrites)
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
 
-    cluster.eventQueue().scheduleAfter(5 * kMicrosecond,
-                                       [&] { cluster.crashMn(0); });
+    // With the health plane off the controller declares the MN dead
+    // at the crash, and that verdict is what marks the primary.
+    bool marked_at_crash = false;
+    cluster.eventQueue().scheduleAfter(5 * kMicrosecond, [&] {
+        cluster.crashMn(0);
+        marked_at_crash = !region.primaryAlive();
+    });
     for (std::uint64_t i = 0; i < 20; i++) {
         std::uint64_t v = 0x5000 + i;
-        // Every write still acks: the batch degrades to the backup
-        // when the primary leg exhausts its retries.
+        // Every write still acks: once the primary is declared dead
+        // the batch degrades to the backup.
         ASSERT_EQ(region.write(i * 8, &v, 8), Status::kOk) << i;
     }
+    EXPECT_TRUE(marked_at_crash);
     EXPECT_FALSE(region.primaryAlive());
     EXPECT_TRUE(region.backupAlive());
-    EXPECT_GE(cluster.cn(0).stats().timeouts, 1u);
 
     // All twenty writes are readable (served by the backup).
     for (std::uint64_t i = 0; i < 20; i++) {
@@ -140,23 +151,18 @@ TEST(Replication, DoubleFailureFailsFastWithoutHanging)
     std::uint64_t v = 1;
     ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
 
+    // With the health plane off the controller declares each MN dead
+    // at its crash, so both replicas are marked before the next op.
     cluster.crashMn(0);
     cluster.crashMn(1);
-
-    // First op after the double failure burns real retries on both
-    // replicas, then gives up — bounded sim time, never a hang.
-    const Tick before = cluster.eventQueue().now();
-    EXPECT_EQ(region.write(0, &v, 8), Status::kRetryExceeded);
     EXPECT_FALSE(region.primaryAlive());
     EXPECT_FALSE(region.backupAlive());
-    std::uint64_t out = 0;
-    EXPECT_EQ(region.read(0, &out, 8), Status::kRetryExceeded);
-    EXPECT_LT(cluster.eventQueue().now() - before, kSecond);
 
-    // Once both replicas are marked dead, further ops fail instantly
-    // (no packets, no simulated time).
+    // Every op fails instantly (no packets, no simulated time): never
+    // a hang.
     const Tick t = cluster.eventQueue().now();
     EXPECT_EQ(region.write(0, &v, 8), Status::kRetryExceeded);
+    std::uint64_t out = 0;
     EXPECT_EQ(region.read(0, &out, 8), Status::kRetryExceeded);
     EXPECT_EQ(cluster.eventQueue().now(), t);
 
@@ -201,16 +207,16 @@ TEST(Replication, ReReplicationOntoThirdMnAfterCrash)
         EXPECT_EQ(out, 0xBEEF0000 + off);
     }
     EXPECT_TRUE(region.primaryAlive());
-    EXPECT_TRUE(region.backupAlive()); // backup untouched since heal
+    EXPECT_FALSE(region.backupAlive()); // declared dead at its crash
 }
 
 TEST(Replication, HealAbortsWhenSurvivorDiesMidCopy)
 {
     // Regression: heal() used to return the raw read status when the
-    // SOURCE of the copy died mid-stream, leaving the survivor marked
-    // alive and the half-copied replacement in limbo. It must abort
-    // cleanly: survivor marked dead, kTimeout surfaced, replacement
-    // never promoted.
+    // SOURCE of the copy died mid-stream, leaving the half-copied
+    // replacement in limbo. It must abort cleanly: survivor marked
+    // dead (by the controller, at its crash), kTimeout surfaced,
+    // replacement never promoted.
     Cluster cluster(ModelConfig::prototype(), 1, 3);
     ClioClient &client = cluster.createClient(0);
     ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
@@ -290,7 +296,6 @@ TEST(Replication, WriteDuringChunkReadReachesTheCopy)
     ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
 
     cluster.crashMn(0);
-    region.markMnDead(cluster.mn(0).nodeId());
     EventQueue &eq = cluster.eventQueue();
     const std::uint64_t issued = cluster.cn(0).stats().requests;
     bool finished = false;
@@ -330,8 +335,8 @@ TEST(Replication, HealExcludesControllerResync)
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
 
-    // The client notices the crash before the controller's lease runs
-    // out; detection then fires while heal() is copying.
+    // Mark the replica dead ahead of the controller's lease through
+    // its own hook; detection then fires while heal() is copying.
     cluster.crashMn(0);
     region.markMnDead(cluster.mn(0).nodeId());
     ASSERT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kOk);
@@ -365,7 +370,8 @@ TEST(Replication, ResyncChunkSizeIsConfigurable)
         }
         cluster.crashMn(1);
         std::uint64_t v = 0;
-        ASSERT_EQ(region.write(0, &v, 8), Status::kOk); // mark it dead
+        // The crash declared MN 1 dead: this acks on MN 0 alone.
+        ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
         const std::uint64_t reads_before = cluster.mn(0).stats().reads;
         ASSERT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kOk);
         const std::uint64_t copy_reads =
@@ -400,8 +406,8 @@ TEST(Replication, WriteAllQuorumEdgeCases)
                             cluster.mn(1).nodeId());
     ASSERT_TRUE(region.ok());
 
-    // Degraded-mode write: one replica dead → kOk on a single ack,
-    // and the dead replica is marked so later writes skip it.
+    // Degraded-mode write: the crash declared the backup dead, so
+    // writes ack on the primary alone and never send to the backup.
     std::uint64_t v = 7;
     cluster.crashMn(1);
     EXPECT_EQ(region.write(0, &v, 8), Status::kOk);
@@ -409,7 +415,7 @@ TEST(Replication, WriteAllQuorumEdgeCases)
     const std::uint64_t writes_before = cluster.cn(0).stats().timeouts;
     v = 8;
     EXPECT_EQ(region.write(0, &v, 8), Status::kOk);
-    // The second degraded write never retried the dead backup.
+    // Neither degraded write retried the dead backup.
     EXPECT_EQ(cluster.cn(0).stats().timeouts, writes_before);
 
     // Read-one still answers from the surviving primary, without
@@ -418,6 +424,133 @@ TEST(Replication, WriteAllQuorumEdgeCases)
     EXPECT_EQ(region.read(0, &out, 8), Status::kOk);
     EXPECT_EQ(out, 8u);
     EXPECT_EQ(region.failovers(), 0u);
+
+    // A write from a crashed CN fails at once and marks nothing: its
+    // process is gone, so no leg is resent.
+    cluster.crashCn(0);
+    const Tick t = cluster.eventQueue().now();
+    EXPECT_EQ(region.write(0, &v, 8), Status::kTimeout);
+    EXPECT_EQ(cluster.eventQueue().now(), t);
+    EXPECT_TRUE(region.primaryAlive());
+}
+
+// ---------------------------------------------------------------------
+// Only the controller's verdict marks a replica dead: a request that
+// runs out of retries against a live MN leaves its replica alone.
+// ---------------------------------------------------------------------
+
+TEST(Replication, TransportFailureKeepsALiveReplica)
+{
+    // Health plane off. Every packet is lost for 400 us, so both legs
+    // of one write run out of retries against two live MNs. They are
+    // resent until they land after the window; no replica is marked.
+    Cluster cluster(ModelConfig::prototype(), 1, 2);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    EventQueue &eq = cluster.eventQueue();
+
+    PacketFaultWindow loss;
+    loss.start = eq.now();
+    loss.end = eq.now() + 400 * kMicrosecond;
+    loss.drop_rate = 1.0;
+    FaultInjector injector(cluster, FaultPlan().packetFaults(loss), 1);
+    injector.arm();
+    const std::uint64_t timeouts = cluster.cn(0).stats().timeouts;
+    std::uint64_t v = 0x600D;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    // Both legs exhausted their retries at least once.
+    const std::uint32_t per_leg =
+        ModelConfig::prototype().clib.max_retries + 1;
+    EXPECT_GE(cluster.cn(0).stats().timeouts - timeouts, 2 * per_leg);
+    EXPECT_GE(eq.now(), loss.end);
+    EXPECT_TRUE(region.primaryAlive());
+    EXPECT_TRUE(region.backupAlive());
+
+    // Both replicas hold the write: the backup serves it alone.
+    cluster.crashMn(0);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0x600Du);
+}
+
+TEST(Replication, FailedChunkReadKeepsTheSurvivor)
+{
+    // The survivor's port goes down for 1 ms mid-copy: a partition, not
+    // a crash. The chunk read times out and aborts the resync, but the
+    // survivor stays live, so a later heal() copies from it.
+    auto cfg = ModelConfig::prototype();
+    cfg.clib.max_retries = 0;
+    Cluster cluster(cfg, 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    std::uint64_t v = 0xC0DE;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    cluster.crashMn(0); // the survivor is the backup on MN 1
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk); // failover
+    ASSERT_FALSE(region.primaryAlive());
+
+    EventQueue &eq = cluster.eventQueue();
+    Network &net = cluster.network();
+    const NodeId survivor = cluster.mn(1).nodeId();
+    eq.scheduleAfter(kMillisecond,
+                     [&] { net.setNodeDown(survivor, true); });
+    eq.scheduleAfter(2 * kMillisecond,
+                     [&] { net.setNodeDown(survivor, false); });
+    EXPECT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kTimeout);
+    EXPECT_TRUE(region.backupAlive());
+    EXPECT_EQ(region.resyncs(), 0u);
+
+    eq.runUntilTime(eq.now() + 2 * kMillisecond); // the partition heals
+    ASSERT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kOk);
+    EXPECT_TRUE(region.fullyRedundant());
+    cluster.crashMn(1); // only the healed copy is left
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0xC0DEu);
+}
+
+TEST(Replication, TransportFailureNeverDegradesWithoutTheController)
+{
+    // Health plane on. The backup's port is down for 100 us, less than
+    // dead_after, so the detector never declares MN 1 dead. A write
+    // whose backup leg times out meanwhile is resent until it lands:
+    // the region must not degrade on its own, since no death means no
+    // resync would ever repair it.
+    auto cfg = ModelConfig::prototype();
+    cfg.health.enabled = true;
+    cfg.clib.max_retries = 0;
+    Cluster cluster(cfg, 1, 3);
+    HealthPlane *hp = cluster.health();
+    ASSERT_NE(hp, nullptr);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    EventQueue &eq = cluster.eventQueue();
+    Network &net = cluster.network();
+
+    const NodeId backup = cluster.mn(1).nodeId();
+    net.setNodeDown(backup, true);
+    eq.scheduleAfter(100 * kMicrosecond,
+                     [&] { net.setNodeDown(backup, false); });
+    const std::uint64_t timeouts = cluster.cn(0).stats().timeouts;
+    std::uint64_t v = 0xFEED;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    EXPECT_GE(cluster.cn(0).stats().timeouts - timeouts, 1u);
+
+    eq.runUntilTime(eq.now() + kMillisecond);
+    EXPECT_EQ(hp->stats().deaths, 0u);
+    EXPECT_TRUE(region.fullyRedundant());
+
+    // The backup holds the write.
+    cluster.crashMn(0);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0xFEEDu);
 }
 
 } // namespace
