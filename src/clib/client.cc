@@ -14,8 +14,9 @@ namespace {
 constexpr std::uint64_t kTrackPage = 4 * MiB;
 } // namespace
 
-ClioClient::ClioClient(CNode &cn, ProcId pid, NodeId home_mn)
-    : cn_(cn), pid_(pid), home_mn_(home_mn)
+ClioClient::ClioClient(CNode &cn, ProcId pid, NodeId home_mn,
+                       ReplicaRegistry &replicas)
+    : cn_(cn), pid_(pid), home_mn_(home_mn), replicas_(replicas)
 {
 }
 
@@ -310,11 +311,13 @@ ClioClient::rwriteAsync(VirtAddr addr, const void *src, std::uint64_t len)
 }
 
 HandlePtr
-ClioClient::rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data)
+ClioClient::rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data,
+                        ReqId orig_req_id)
 {
     stats_.writes++;
     const std::uint64_t len = data.size();
     auto req = newRequest(MsgType::kWrite, mnFor(addr));
+    req->orig_req_id = orig_req_id;
     req->addr = addr;
     req->size = len;
     req->data = std::move(data);

@@ -165,22 +165,16 @@ class ClioClient
     /**
      * @param home_mn default MN for allocations (overridden by the
      *        cluster's placement hook in multi-MN setups).
+     * @param replicas the Cluster's registry, which ReplicatedRegions
+     *        built over this client join (the controller marks them).
      */
-    ClioClient(CNode &cn, ProcId pid, NodeId home_mn);
+    ClioClient(CNode &cn, ProcId pid, NodeId home_mn,
+               ReplicaRegistry &replicas);
 
     ProcId pid() const { return pid_; }
     CNode &cnode() { return cn_; }
     const CNode &cnode() const { return cn_; }
-
-    /** @{ Controller-side replica registry (the Cluster's): when set,
-     * ReplicatedRegions built over this client register there, so the
-     * controller's verdict on an MN reaches their replicas. */
-    void setReplicaRegistry(ReplicaRegistry *registry)
-    {
-        replica_registry_ = registry;
-    }
-    ReplicaRegistry *replicaRegistry() const { return replica_registry_; }
-    /** @} */
+    ReplicaRegistry &replicaRegistry() const { return replicas_; }
 
     /** Cluster hook choosing the MN for a new allocation (§4.7). */
     void
@@ -220,8 +214,10 @@ class ClioClient
     HandlePtr rreadAsync(VirtAddr addr, void *buf, std::uint64_t len);
     HandlePtr rwriteAsync(VirtAddr addr, const void *src,
                           std::uint64_t len);
-    /** Write overload taking ownership of the payload (no copy). */
-    HandlePtr rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data);
+    /** Write overload taking ownership of the payload (no copy). Of
+     * all writes with one `orig_req_id` (CNode::newReqId()), one runs. */
+    HandlePtr rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data,
+                          ReqId orig_req_id = 0);
     HandlePtr atomicAsync(VirtAddr addr, AtomicOp op,
                           std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
     HandlePtr fenceAsync();
@@ -354,7 +350,7 @@ class ClioClient
     ProcId pid_;
     NodeId home_mn_;
     std::function<NodeId(std::uint64_t)> alloc_picker_;
-    ReplicaRegistry *replica_registry_ = nullptr;
+    ReplicaRegistry &replicas_;
 
     /** Region routing + allocation table, sorted by start. */
     std::vector<Region> regions_;

@@ -90,9 +90,10 @@ CNode::issue(std::shared_ptr<RequestMsg> req,
         failLater(std::move(cb), Status::kTimeout);
         return;
     }
-    const ReqId id = (static_cast<ReqId>(node_) << 40) | next_req_seq_++;
+    const ReqId id = newReqId();
     req->req_id = id;
-    req->orig_req_id = id;
+    if (req->orig_req_id == 0)
+        req->orig_req_id = id;
     req->src = node_;
     stats_.requests++;
 
@@ -273,7 +274,7 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
     // carries the original id so the MN can deduplicate (T4). Copy the
     // message: packets of the previous attempt still reference it.
     auto fresh = std::make_shared<RequestMsg>(*out.req);
-    fresh->req_id = (static_cast<ReqId>(node_) << 40) | next_req_seq_++;
+    fresh->req_id = newReqId();
     out.req = std::move(fresh);
     out.retries++;
     const bool inserted = out_index_.insert(out.req->req_id, slot);

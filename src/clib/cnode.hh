@@ -82,13 +82,16 @@ class CNode
     /**
      * Issue one request. The transport owns ordering *below* the
      * request level only; inter-request ordering is the client
-     * layer's job (T2). `req->dst` selects the MN.
+     * layer's job (T2). `req->dst` selects the MN. A preset
+     * `req->orig_req_id` is kept: the MN dedups on it (T4).
      *
      * @param expected_resp_bytes response payload size for the incast
      *        window (reads: size; others: ~0).
      */
     void issue(std::shared_ptr<RequestMsg> req,
                std::uint64_t expected_resp_bytes, Completion cb);
+    /** A request id no other request in the cluster carries. */
+    ReqId newReqId() { return (ReqId{node_} << 40) | next_req_seq_++; }
 
     const CNodeStats &stats() const { return stats_; }
     LatencyHistogram &rttHistogram() { return rtt_hist_; }
@@ -109,10 +112,13 @@ class CNode
     /** @{ CN process-level failure (health plane / chaos). crash()
      * fails every outstanding request with kTimeout (their issuing
      * processes died; completions fire so pumping callers unwind) and
-     * stops heartbeats; restart() resumes with fresh transport state. */
+     * stops heartbeats; restart() resumes with fresh transport state.
+     * declaredDead(): the controller let the CN's lease run out. */
     bool alive() const { return alive_; }
     void crash();
     void restart();
+    bool declaredDead() const { return declared_dead_; }
+    void setDeclaredDead(bool dead) { declared_dead_ = dead; }
     /** @} */
 
     /** Start emitting liveness beacons to `controller` every `period`
@@ -228,6 +234,7 @@ class CNode
 
     /** @{ Health-plane state. */
     bool alive_ = true;
+    bool declared_dead_ = false;
     std::uint64_t epoch_ = 0;
     std::function<std::uint64_t()> epoch_refresh_;
     std::uint64_t incarnation_ = 0;

@@ -110,7 +110,8 @@ SubmissionBatch::read(VirtAddr addr, void *buf, std::uint64_t len)
 }
 
 std::size_t
-SubmissionBatch::write(VirtAddr addr, const void *src, std::uint64_t len)
+SubmissionBatch::write(VirtAddr addr, const void *src, std::uint64_t len,
+                       ReqId orig_req_id)
 {
     clio_assert(client_ != nullptr, "staging on an empty batch");
     ClioClient *c = client_;
@@ -120,8 +121,8 @@ SubmissionBatch::write(VirtAddr addr, const void *src, std::uint64_t len)
     std::vector<std::uint8_t> data(
         static_cast<const std::uint8_t *>(src),
         static_cast<const std::uint8_t *>(src) + len);
-    ops_.push_back([c, addr, data = std::move(data)]() mutable {
-        return c->rwriteAsync(addr, std::move(data));
+    ops_.push_back([c, addr, data = std::move(data), orig_req_id]() mutable {
+        return c->rwriteAsync(addr, std::move(data), orig_req_id);
     });
     return ops_.size() - 1;
 }

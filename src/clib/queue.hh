@@ -156,7 +156,8 @@ class SubmissionBatch
     /** @{ Staging. Each returns the op's index within the batch (its
      * completion tag offset). Arguments mirror the async API. */
     std::size_t read(VirtAddr addr, void *buf, std::uint64_t len);
-    std::size_t write(VirtAddr addr, const void *src, std::uint64_t len);
+    std::size_t write(VirtAddr addr, const void *src, std::uint64_t len,
+                      ReqId orig_req_id = 0);
     std::size_t alloc(std::uint64_t size,
                       std::uint8_t perm = kPermReadWrite,
                       bool populate = false, NodeId mn_override = 0);

@@ -1,21 +1,13 @@
 #include "clib/replication.hh"
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace clio {
-
-ReplicatedRegion *
-ReplicaRegistry::find(std::uint64_t id) const
-{
-    for (const Entry &e : entries_) {
-        if (e.id == id)
-            return e.region;
-    }
-    return nullptr;
-}
 
 ReplicatedRegion::ReplicatedRegion(ClioClient &client, std::uint64_t size,
                                    NodeId primary_mn, NodeId backup_mn)
@@ -36,14 +28,13 @@ ReplicatedRegion::ReplicatedRegion(ClioClient &client, std::uint64_t size,
         backup_ = out.completions[b].value;
 
     resync_cq_.setDrainHook([this] { pumpResync(); });
-    if (ok() && client_.replicaRegistry() != nullptr)
-        client_.replicaRegistry()->addRegion(this);
+    if (ok())
+        client_.replicaRegistry().addRegion(this);
 }
 
 ReplicatedRegion::~ReplicatedRegion()
 {
-    if (client_.replicaRegistry() != nullptr)
-        client_.replicaRegistry()->removeRegion(this);
+    client_.replicaRegistry().removeRegion(this);
     // Destroying mid-resync trips resync_cq_'s outstanding-watch
     // assertion — loud, by design: the controller must abort or finish
     // a resync before the region goes away.
@@ -60,55 +51,67 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
         return st != Status::kOk && st != Status::kTimeout &&
                st != Status::kRetryExceeded && st != Status::kEpochFenced;
     };
-    bool p_landed = false, b_landed = false;
-    for (;;) {
-        if (!client_.cnode().alive())
-            return Status::kTimeout; // the issuing process is gone
+    // A slot's leg follows the copy in the slot (a resync may swap a new
+    // one in mid-write), with one dedup key for every attempt on it.
+    struct Leg
+    {
+        VirtAddr va = 0;
+        ReqId key = 0;
+        bool landed = false;
+        std::optional<std::size_t> op; // its index in this pass's batch
+    };
+    Leg p, b;
+    const auto owed = [](const Leg &leg, VirtAddr va, bool alive) {
+        return alive && !(leg.va == va && leg.landed);
+    };
+    for (bool resend = false; owed(p, primary_, primary_alive_) ||
+                              owed(b, backup_, backup_alive_);
+         resend = true) {
+        if (!client_.cnode().alive() ||
+            (resend && client_.cnode().declaredDead()))
+            return Status::kTimeout; // its process or its lease is gone
         if (resync_.reading && offset < resync_.cur_off + resync_.cur_len &&
             resync_.cur_off < offset + len) {
-            // The chunk's copy-write will carry bytes read before this
-            // write; hold the write until that copy-write is issued, so
-            // the mirror below queues behind it (see file docs).
+            // Hold until the chunk's copy-write, carrying bytes read
+            // before this write, is issued: the mirror queues behind it.
             const bool ok = client_.cnode().eventQueue().runUntil(
                 [this] { return !resync_.reading; });
             clio_assert(ok, "simulation drained with a resync read in flight");
         }
         // Write-all in one doorbell: both replica writes leave together.
         SubmissionBatch batch(client_);
-        const bool p_sent = primary_alive_ && !p_landed;
-        const bool b_sent = backup_alive_ && !b_landed;
-        const std::size_t p_index =
-            p_sent ? batch.write(primary_ + offset, src, len) : 0;
-        const std::size_t b_index =
-            b_sent ? batch.write(backup_ + offset, src, len) : 0;
+        const auto stage = [&](Leg &leg, VirtAddr va, bool alive) {
+            leg.op.reset();
+            if (!owed(leg, va, alive))
+                return;
+            if (leg.va != va)
+                leg = {va, client_.cnode().newReqId(), false, {}};
+            leg.op = batch.write(va + offset, src, len, leg.key);
+        };
+        stage(p, primary_, primary_alive_);
+        stage(b, backup_, backup_alive_);
         if (batch.empty())
-            return (p_landed || b_landed) ? Status::kOk
-                                          : Status::kRetryExceeded;
+            continue; // the hold saw the owed replicas declared dead
         if (resync_.active && !resync_.aborting &&
             resync_.target_va != 0 && offset < resync_.read_issued_end) {
-            // Mirror into the resync target: its copied (or
-            // read-issued) prefix would otherwise go stale. Every chunk
-            // this overlaps has its copy-write issued, and T2
-            // serializes the mirror after it (WAW on the target VA), so
-            // the target converges to the latest data; writes entirely
-            // beyond the issued prefix are picked up by the chunk reads
-            // themselves. The mirror's own completion does not gate the
-            // foreground write's success.
+            // Mirror into the target's read-issued prefix, which would
+            // otherwise go stale (later chunks read the write from the
+            // survivor). Its completion does not gate the write.
             batch.write(resync_.target_va + offset, src, len);
         }
         const BatchOutcome out = batch.submitAndWait();
-        const Status p_st = p_sent ? out.completions[p_index].status
-                                   : Status::kOk;
-        const Status b_st = b_sent ? out.completions[b_index].status
-                                   : Status::kOk;
-        p_landed = p_landed || (p_sent && p_st == Status::kOk);
-        b_landed = b_landed || (b_sent && b_st == Status::kOk);
-        // A leg whose replica was declared dead meanwhile no longer counts.
-        if (primary_alive_ && answered(p_st))
-            return p_st;
-        if (backup_alive_ && answered(b_st))
-            return b_st;
+        // A leg lands, or a live copy still in its slot fails the write.
+        for (auto [leg, va, alive] : {std::tie(p, primary_, primary_alive_),
+                                      std::tie(b, backup_, backup_alive_)}) {
+            if (!leg.op)
+                continue;
+            const Status st = out.completions[*leg.op].status;
+            leg.landed = st == Status::kOk;
+            if (answered(st) && alive && leg.va == va)
+                return st;
+        }
     }
+    return (p.landed || b.landed) ? Status::kOk : Status::kRetryExceeded;
 }
 
 Status
@@ -130,15 +133,10 @@ ReplicatedRegion::read(std::uint64_t offset, void *dst, std::uint64_t len)
 Status
 ReplicatedRegion::heal(NodeId replacement_mn)
 {
-    if (resync_.active)
-        return Status::kRetryExceeded; // controller resync owns the slot
-    if (primary_alive_ && backup_alive_)
+    if (resync_.active || bothDead())
+        return Status::kRetryExceeded; // a copy in flight, or no source
+    if (!degraded())
         return Status::kOk; // nothing to heal
-    if (bothDead())
-        return Status::kRetryExceeded; // no surviving copy
-    const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
-    clio_assert(client_.mnFor(survivor) != replacement_mn,
-                "replacement replica must not share the survivor's MN");
 
     // The controller's resync, pumped to completion: writes issued
     // meanwhile mirror into the copy, and the controller sees the slot
@@ -150,7 +148,8 @@ ReplicatedRegion::heal(NodeId replacement_mn)
             finished = true;
             result = st;
         });
-    clio_assert(started, "heal: resync refused on a degraded region");
+    clio_assert(started,
+                "replacement replica must not share the survivor's MN");
     const bool ok = client_.cnode().eventQueue().runUntil(
         [&finished] { return finished; });
     clio_assert(ok, "heal: simulation drained mid-resync");
@@ -221,9 +220,11 @@ ReplicatedRegion::pumpResync()
           case kTagRead:
             resync_.reading = false;
             if (!c.ok()) {
-                // The survivor did not answer: abort and abandon the
-                // half-copied target. Whether its MN is dead is the
-                // controller's call, not this read's.
+                // The survivor did not answer: abort, and free the
+                // half-copied target (its MN was not declared dead, or
+                // `aborting` would be set). Whether the survivor's MN is
+                // dead is the controller's call, not this read's.
+                client_.rfreeAsync(resync_.target_va);
                 finishResync(Status::kTimeout);
                 break;
             }
@@ -280,9 +281,9 @@ ReplicatedRegion::issueResyncRead()
 void
 ReplicatedRegion::finishResync(Status status)
 {
-    // On failure the target VA is abandoned: either its board is dead
-    // (nothing to free) or the source died (the controller will find
-    // the region bothDead and give up anyway).
+    // On any other failure the target VA is abandoned: its board is
+    // dead or unreachable, or the survivor died and left the region
+    // bothDead, which the controller gives up on.
     resync_.active = false;
     resync_.aborting = false;
     resync_.reading = false;
@@ -299,8 +300,7 @@ ReplicatedRegion::destroy()
 {
     clio_assert(!resync_.active,
                 "destroying a region with a resync in flight");
-    if (client_.replicaRegistry() != nullptr)
-        client_.replicaRegistry()->removeRegion(this);
+    client_.replicaRegistry().removeRegion(this);
     if (primary_) {
         client_.rfree(primary_);
         primary_ = 0;

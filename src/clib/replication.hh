@@ -20,32 +20,29 @@
  * proves nothing (a live MN inside a packet-loss window looks the
  * same), so the region never marks a replica itself:
  *  - a write leg that fails in transport (kTimeout, kRetryExceeded,
- *    kEpochFenced) is resent until it lands or its replica is declared
- *    dead; any other status fails the write. So with the health plane
- *    on, a write to a crashed replica waits for the detector's verdict,
- *    and with it off, a write to a cut-off (not crashed) MN waits out
- *    the partition. A resent leg is a new request, so an attempt the CN
- *    gave up on may still land after it: the ambiguity a failed rwrite
- *    already has;
+ *    kEpochFenced) is resent until it lands on the copy now in its slot
+ *    or that replica is declared dead; other failures fail the write.
+ *    With the health plane on, a write to a crashed replica waits for
+ *    the detector's verdict, and a cut-off CN stops once the detector
+ *    declares it dead (kTimeout). With it off, nothing declares a live
+ *    node dead: a write across a partition waits until it heals. All
+ *    attempts on one copy share a dedup key (T4), so one the CN gave up
+ *    on cannot land after a later write; a late mirror (below) can;
  *  - a failed read fails over to the other replica;
  *  - a failed chunk read aborts a resync and leaves the survivor alone.
  *
  * Self-healing: regions register in the Cluster's ReplicaRegistry.
- * After a verdict the health plane drives beginResync() — an
- * asynchronous chunked copy from the survivor onto a replacement MN
- * that runs as ordinary simulator events, concurrently with foreground
- * traffic. A client's heal() starts the same copy and waits for it.
- * During resync, reads stay on the survivor (degraded mode) and
- * writes mirror into the read-issued prefix of the target, so the
- * region is consistent the instant the last chunk lands; the swap to
- * fully-redundant happens only then. A mirror must land after the
- * copy-write of every chunk it overlaps. For a chunk already
- * copy-written or being copy-written, the client's T2 ordering does
- * that: the mirror queues behind the copy-write (WAW on the target
- * VA). Nothing orders a mirror after a copy-write not yet issued, so a
+ * After a verdict the health plane drives beginResync() — a chunked
+ * copy from the survivor onto a replacement MN, run as simulator
+ * events alongside foreground traffic; a client's heal() starts the
+ * same copy and waits for it. Meanwhile reads stay on the survivor and
+ * writes mirror into the read-issued prefix of the target, which is
+ * swapped in as a replica only once the last chunk lands. A mirror
+ * must land after the copy-write of every chunk it overlaps: T2 queues
+ * it behind a copy-write already issued (WAW on the target VA), and a
  * write overlapping the chunk whose read is in flight is held until
- * that read's completion is handled, which issues the copy-write.
- * Every resend pass re-checks the hold and the mirror.
+ * that read's completion issues the copy-write. Every resend pass
+ * re-checks the hold and the mirror.
  */
 
 #ifndef CLIO_CLIB_REPLICATION_HH
@@ -90,7 +87,14 @@ class ReplicaRegistry
         std::erase_if(entries_, [r](const Entry &e) { return e.region == r; });
     }
     /** The region registered as `id`; null once it is gone. */
-    ReplicatedRegion *find(std::uint64_t id) const;
+    ReplicatedRegion *find(std::uint64_t id) const
+    {
+        for (const Entry &e : entries_) {
+            if (e.id == id)
+                return e.region;
+        }
+        return nullptr;
+    }
     const std::vector<Entry> &entries() const { return entries_; }
 
   private:
@@ -117,11 +121,11 @@ class ReplicatedRegion
     bool ok() const { return primary_ != 0 && backup_ != 0; }
     std::uint64_t size() const { return size_; }
 
-    /** Offset-addressed write to BOTH live replicas: kOk once each leg
-     * landed or its replica was declared dead (see file docs);
-     * kRetryExceeded when none is live, kTimeout when the client's CN
-     * is down, else the first non-transport failure. During a resync it
-     * also mirrors into the already-copied prefix of the target. */
+    /** Offset-addressed write to BOTH live replicas: kOk once each
+     * live copy holds it (see file docs); kRetryExceeded when none is
+     * live, kTimeout when the client's CN is down or declared dead,
+     * else the first non-transport failure. During a resync it also
+     * mirrors into the already-copied prefix of the target. */
     Status write(std::uint64_t offset, const void *src,
                  std::uint64_t len);
 
@@ -156,12 +160,12 @@ class ReplicatedRegion
      * spare board) must differ from the survivor's MN. kOk when both
      * replicas are already healthy; kRetryExceeded when both are dead
      * (nothing left to copy from) or a resync is already running;
-     * kTimeout when a chunk read from the survivor fails or its MN is
-     * declared dead mid-copy (the half-copied replacement is abandoned,
-     * never marked healthy; a survivor that only missed a read stays
-     * live for a later heal()); otherwise the replacement's alloc or
-     * write status. The dead replica's old VA
-     * is NOT freed — its board lost that state when it crashed.
+     * kTimeout when a chunk read from the survivor fails (the partial
+     * copy is freed, the survivor stays live for a later heal()) or an
+     * MN of the copy is declared dead mid-copy (the copy is abandoned);
+     * otherwise the replacement's alloc or write status. A failed copy
+     * is never marked healthy. The dead replica's old VA is NOT freed —
+     * its board lost that state when it crashed.
      */
     Status heal(NodeId replacement_mn);
 

@@ -240,8 +240,8 @@ Cluster::createClient(std::uint32_t cn_index)
             kNoOwner);
     }
     pid_home_mn_[pid] = home;
-    return addClient(std::make_unique<ClioClient>(cn(cn_index), pid,
-                                                  mns_[home]->nodeId()));
+    return addClient(std::make_unique<ClioClient>(
+        cn(cn_index), pid, mns_[home]->nodeId(), replicas_));
 }
 
 ClioClient &
@@ -251,7 +251,7 @@ Cluster::createSharedClient(std::uint32_t cn_index,
     // Same global PID: the MN's page table and permissions already
     // cover this process; a second CN simply issues requests for it.
     auto client = std::make_unique<ClioClient>(
-        cn(cn_index), base.pid(), base.mnFor(0));
+        cn(cn_index), base.pid(), base.mnFor(0), replicas_);
     client->copyRoutingFrom(base);
     return addClient(std::move(client));
 }
@@ -259,7 +259,6 @@ Cluster::createSharedClient(std::uint32_t cn_index,
 ClioClient &
 Cluster::addClient(std::unique_ptr<ClioClient> client)
 {
-    client->setReplicaRegistry(&replicas_);
     if (sharded_) {
         // Every allocation of the pid lands on its directory MN (a
         // migration rewrites routing via redirectRegion, not here).

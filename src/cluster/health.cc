@@ -58,31 +58,23 @@ FailureDetector::FailureDetector(Tick suspect_after, Tick dead_after)
 FailureDetector::Entry *
 FailureDetector::find(NodeId node)
 {
-    for (Entry &e : entries_) {
-        if (e.node == node)
-            return &e;
-    }
-    return nullptr;
+    return const_cast<Entry *>(std::as_const(*this).find(node));
 }
 
 const FailureDetector::Entry *
 FailureDetector::find(NodeId node) const
 {
-    for (const Entry &e : entries_) {
-        if (e.node == node)
-            return &e;
-    }
-    return nullptr;
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [node](const Entry &e) { return e.node == node; });
+    return it == entries_.end() ? nullptr : &*it;
 }
 
 void
 FailureDetector::track(NodeId node, Tick now)
 {
     clio_assert(find(node) == nullptr, "node %u tracked twice", node);
-    Entry e;
-    e.node = node;
-    e.last_beacon = now;
-    entries_.push_back(e);
+    entries_.push_back({node, now, 0, NodeHealth::kAlive});
 }
 
 BeaconOutcome
@@ -269,6 +261,7 @@ HealthPlane::onNodeDead(NodeId node)
         onMnDead(it->second.second);
     } else {
         stats_.cn_deaths++;
+        cluster_.cn(it->second.second).setDeclaredDead(true);
         onCnDead(node);
     }
 }
@@ -288,8 +281,10 @@ HealthPlane::onNodeRejoined(NodeId node)
         CBoard &board = cluster_.mn(it->second.second);
         board.setEpochFence(epoch_);
         cluster_.onMnRejoined(it->second.second);
+    } else {
+        // A rejoined CN restarts with epoch 0, refreshed on first fence.
+        cluster_.cn(it->second.second).setDeclaredDead(false);
     }
-    // A rejoined CN restarts with epoch 0 and refreshes on first fence.
 }
 
 void
@@ -326,9 +321,8 @@ HealthPlane::onCnDead(NodeId node)
     for (std::uint32_t i = 0; i < cluster_.clientCount(); i++) {
         ClioClient &c = cluster_.client(i);
         const bool on_dead = c.cnode().nodeId() == node;
-        auto [slot, inserted] = exclusive.emplace(c.pid(), on_dead);
-        if (!inserted)
-            slot->second = slot->second && on_dead;
+        auto slot = exclusive.emplace(c.pid(), true).first;
+        slot->second = slot->second && on_dead;
     }
     for (const auto &[pid, exclusively_dead] : exclusive) {
         if (!exclusively_dead)
@@ -455,12 +449,7 @@ void
 HealthPlane::logEvent(HealthEvent::Kind kind, NodeId node,
                       std::uint64_t region_id)
 {
-    HealthEvent e;
-    e.kind = kind;
-    e.at = eq_.now();
-    e.node = node;
-    e.region_id = region_id;
-    events_.push_back(e);
+    events_.push_back({kind, eq_.now(), node, region_id});
 }
 
 } // namespace clio

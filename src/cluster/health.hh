@@ -39,9 +39,10 @@
  * HealthConfig::max_concurrent_resyncs at a time. Reads stay on the
  * survivor during the copy (degraded mode); the region counts as fully
  * redundant only when the last chunk lands. On declaring a CN dead the
- * controller GCs what the dead processes left behind on MNs:
- * force-releases their locks and tears down per-process state for pids
- * that lived exclusively on that CN.
+ * controller marks it (CNode::declaredDead, until it rejoins) and GCs
+ * what the dead processes left behind on MNs: force-releases their
+ * locks and tears down per-process state for pids that lived
+ * exclusively on that CN.
  *
  * Everything here is deterministic: detector entries and registered
  * regions are kept in registration order, the resync queue is FIFO

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run test_chaos once per CLIO_SEED in [first, last], `jobs` at a time,
-# print the seeds that fail, and exit nonzero if any does.
+# print the seeds that fail, and exit nonzero if any does. A run that
+# takes over 120 s counts as failing (a hung seed).
 #
 #   tests/chaos_sweep.sh [build-dir] [first] [last] [jobs]
 #
@@ -20,7 +21,7 @@ fi
 
 failed=$(seq "$first" "$last" |
     xargs -P "$jobs" -I{} sh -c \
-        'CLIO_SEED={} "$0" >/dev/null 2>&1 || echo {}' "$bin" |
+        'CLIO_SEED={} timeout 120 "$0" >/dev/null 2>&1 || echo {}' "$bin" |
     sort -n | tr '\n' ' ')
 total=$((last - first + 1))
 if [ -n "$failed" ]; then

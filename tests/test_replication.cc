@@ -553,5 +553,200 @@ TEST(Replication, TransportFailureNeverDegradesWithoutTheController)
     EXPECT_EQ(out, 0xFEEDu);
 }
 
+TEST(Replication, FailedChunkReadFreesTheCopy)
+{
+    // The survivor's port goes down mid-copy; the chunk read times out
+    // while the replacement MN stays live, so the half-copied target is
+    // freed there instead of leaking one allocation per attempt.
+    auto cfg = ModelConfig::prototype();
+    cfg.clib.max_retries = 0;
+    Cluster cluster(cfg, 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    cluster.crashMn(0);
+
+    EventQueue &eq = cluster.eventQueue();
+    Network &net = cluster.network();
+    const NodeId survivor = cluster.mn(1).nodeId();
+    eq.scheduleAfter(kMillisecond,
+                     [&] { net.setNodeDown(survivor, true); });
+    const std::uint64_t allocs = cluster.mn(2).stats().allocs;
+    const std::uint64_t frees = cluster.mn(2).stats().frees;
+    EXPECT_EQ(region.heal(cluster.mn(2).nodeId()), Status::kTimeout);
+    eq.runUntilTime(eq.now() + kMillisecond);
+    EXPECT_EQ(cluster.mn(2).stats().allocs, allocs + 1);
+    EXPECT_EQ(cluster.mn(2).stats().frees, frees + 1);
+}
+
+TEST(Replication, SwappedInCopyIsOwedTheWrite)
+{
+    // Health plane off. A write's primary leg lands; its backup leg
+    // fails in transport. Then the primary's MN crashes and a resync
+    // from the backup swaps a new copy into the primary slot while the
+    // write is still resending. That copy was read from the backup
+    // before the write reached it, and every mirror of the write was
+    // lost, so the write must be resent to the new copy.
+    auto cfg = ModelConfig::prototype();
+    cfg.clib.max_retries = 0;
+    cfg.clib.resync_chunk_bytes = 4 * MiB; // a chunk per ordering page
+    Cluster cluster(cfg, 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 8 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    std::uint64_t v = 0x1111;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+
+    EventQueue &eq = cluster.eventQueue();
+    const NodeId backup = cluster.mn(1).nodeId();
+    const NodeId spare = cluster.mn(2).nodeId();
+    const auto swapped = [&] {
+        return region.primaryMn() == spare && region.primaryAlive();
+    };
+    // Until the swap, drop the write's 8-byte requests to the backup
+    // (its leg) and to the spare (its mirrors); the copy's chunks pass.
+    cluster.network().setFaultHook([&](const Packet &pkt) {
+        FaultVerdict verdict;
+        if (pkt.type == MsgType::kWrite && !swapped() &&
+            (pkt.dst == backup || pkt.dst == spare))
+            verdict.drop =
+                static_cast<const RequestMsg &>(*pkt.msg).size == 8;
+        return verdict;
+    });
+    const std::uint64_t primary_writes = cluster.mn(0).stats().writes;
+    bool landed_before_crash = false;
+    bool finished = false;
+    eq.scheduleAfter(cfg.clib.timeout / 2, [&] {
+        landed_before_crash =
+            cluster.mn(0).stats().writes > primary_writes;
+        cluster.crashMn(0);
+        ASSERT_TRUE(region.beginResync(spare, [&](Status st) {
+            finished = true;
+            EXPECT_EQ(st, Status::kOk);
+        }));
+    });
+    v = 0x2222;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    cluster.network().setFaultHook(nullptr);
+    EXPECT_TRUE(landed_before_crash);
+    EXPECT_TRUE(finished);
+    EXPECT_TRUE(region.fullyRedundant());
+
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk); // from the new copy
+    EXPECT_EQ(out, 0x2222u);
+}
+
+TEST(Replication, LateAttemptCannotOverwriteALaterWrite)
+{
+    // Health plane off. The first attempt of a write's primary leg is
+    // held in the fabric past its retry budget, so the leg is resent
+    // and lands, and a second write lands after it. When the held
+    // attempt finally arrives, the MN must drop it as a duplicate
+    // rather than roll the primary back to the first write.
+    auto cfg = ModelConfig::prototype();
+    cfg.clib.max_retries = 0;
+    Cluster cluster(cfg, 1, 2);
+    ClioClient &client = cluster.createClient(0);
+    ReplicatedRegion region(client, 1 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(1).nodeId());
+    ASSERT_TRUE(region.ok());
+    Network &net = cluster.network();
+    const NodeId primary = cluster.mn(0).nodeId();
+
+    bool held = false;
+    Packet late;
+    net.setFaultHook([&](const Packet &pkt) {
+        FaultVerdict verdict;
+        if (!held && pkt.type == MsgType::kWrite && pkt.dst == primary) {
+            late = pkt;
+            held = verdict.drop = true;
+        }
+        return verdict;
+    });
+    std::uint64_t v = 0xAAAA;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    ASSERT_TRUE(held);
+    v = 0xBBBB;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+
+    net.setFaultHook(nullptr);
+    const DedupBuffer &dedup = cluster.mn(0).dedupBuffer();
+    const std::uint64_t suppressed = dedup.suppressed();
+    net.send(late);
+    EventQueue &eq = cluster.eventQueue();
+    eq.runUntilTime(eq.now() + 100 * kMicrosecond);
+    EXPECT_EQ(dedup.suppressed(), suppressed + 1);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0xBBBBu);
+}
+
+/** A 3-rack cluster, one CN and two MNs per rack, whose client on CN 1
+ * keeps a region on MN 1 (rack 0) and MN 4 (rack 2): killing rack 1
+ * cuts the CN off from both live replicas. MN 0 is avoided: its node id
+ * 0 is also the "placement picks" value of rallocAsync's override. */
+struct CutOffCn
+{
+    explicit CutOffCn(bool health)
+        : cluster(config(health), ClusterSpec{3, 1, 2}),
+          client(cluster.createClient(1)),
+          region(client, 1 * MiB, cluster.mn(1).nodeId(),
+                 cluster.mn(4).nodeId())
+    {
+    }
+    static ModelConfig config(bool health)
+    {
+        auto cfg = ModelConfig::prototype();
+        cfg.health.enabled = health;
+        return cfg;
+    }
+    Cluster cluster;
+    ClioClient &client;
+    ReplicatedRegion region;
+};
+
+TEST(Replication, CutOffCnStopsAtTheControllersVerdict)
+{
+    // Health plane on: the detector declares the cut-off CN dead, and
+    // the write stops resending with kTimeout. No replica is marked.
+    CutOffCn t(true);
+    ASSERT_TRUE(t.region.ok());
+    ASSERT_EQ(t.cluster.network().rackOf(t.cluster.cn(1).nodeId()), 1u);
+    ASSERT_EQ(t.cluster.rackOfMn(1), 0u);
+    ASSERT_EQ(t.cluster.rackOfMn(4), 2u);
+    EventQueue &eq = t.cluster.eventQueue();
+    const Tick start = eq.now();
+    t.cluster.killRack(1);
+    std::uint64_t v = 0xD00D;
+    EXPECT_EQ(t.region.write(0, &v, 8), Status::kTimeout);
+    EXPECT_TRUE(t.cluster.cn(1).declaredDead());
+    EXPECT_GE(eq.now(), start + t.cluster.config().health.dead_after);
+    EXPECT_TRUE(t.region.primaryAlive());
+    EXPECT_TRUE(t.region.backupAlive());
+}
+
+TEST(Replication, CutOffCnWaitsOutThePartitionWithoutThePlane)
+{
+    // Health plane off: nothing declares the CN or the live MNs dead,
+    // so the write resends until the rack comes back, then lands.
+    CutOffCn t(false);
+    ASSERT_TRUE(t.region.ok());
+    EventQueue &eq = t.cluster.eventQueue();
+    t.cluster.killRack(1);
+    const Tick restore = eq.now() + 2 * kMillisecond;
+    eq.schedule(restore, [&] { t.cluster.restoreRack(1); });
+    std::uint64_t v = 0xD00D;
+    EXPECT_EQ(t.region.write(0, &v, 8), Status::kOk);
+    EXPECT_GE(eq.now(), restore);
+    EXPECT_TRUE(t.region.fullyRedundant());
+    t.cluster.crashMn(1); // the backup holds the write too
+    std::uint64_t out = 0;
+    ASSERT_EQ(t.region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0xD00Du);
+}
+
 } // namespace
 } // namespace clio
