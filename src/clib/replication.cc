@@ -9,6 +9,16 @@
 
 namespace clio {
 
+ReplicatedRegion *
+ReplicaRegistry::find(std::uint64_t id) const
+{
+    for (const Entry &e : entries_) {
+        if (e.id == id)
+            return e.region;
+    }
+    return nullptr;
+}
+
 ReplicatedRegion::ReplicatedRegion(ClioClient &client, std::uint64_t size,
                                    NodeId primary_mn, NodeId backup_mn)
     : client_(client), size_(size), primary_mn_(primary_mn),
@@ -72,8 +82,9 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
             return Status::kTimeout; // its process or its lease is gone
         if (resync_.reading && offset < resync_.cur_off + resync_.cur_len &&
             resync_.cur_off < offset + len) {
-            // Hold until the chunk's copy-write, carrying bytes read
-            // before this write, is issued: the mirror queues behind it.
+            // The chunk's copy-write will carry bytes read before this
+            // write; hold the write until that copy-write is issued, so
+            // the mirror below queues behind it (see file docs).
             const bool ok = client_.cnode().eventQueue().runUntil(
                 [this] { return !resync_.reading; });
             clio_assert(ok, "simulation drained with a resync read in flight");
@@ -94,9 +105,14 @@ ReplicatedRegion::write(std::uint64_t offset, const void *src,
             continue; // the hold saw the owed replicas declared dead
         if (resync_.active && !resync_.aborting &&
             resync_.target_va != 0 && offset < resync_.read_issued_end) {
-            // Mirror into the target's read-issued prefix, which would
-            // otherwise go stale (later chunks read the write from the
-            // survivor). Its completion does not gate the write.
+            // Mirror into the resync target: its copied (or
+            // read-issued) prefix would otherwise go stale. Every chunk
+            // this overlaps has its copy-write issued, and T2
+            // serializes the mirror after it (WAW on the target VA), so
+            // the target converges to the latest data; writes entirely
+            // beyond the issued prefix are picked up by the chunk reads
+            // themselves. The mirror's own completion does not gate the
+            // foreground write's success.
             batch.write(resync_.target_va + offset, src, len);
         }
         const BatchOutcome out = batch.submitAndWait();
@@ -133,10 +149,15 @@ ReplicatedRegion::read(std::uint64_t offset, void *dst, std::uint64_t len)
 Status
 ReplicatedRegion::heal(NodeId replacement_mn)
 {
-    if (resync_.active || bothDead())
-        return Status::kRetryExceeded; // a copy in flight, or no source
-    if (!degraded())
+    if (resync_.active)
+        return Status::kRetryExceeded; // controller resync owns the slot
+    if (primary_alive_ && backup_alive_)
         return Status::kOk; // nothing to heal
+    if (bothDead())
+        return Status::kRetryExceeded; // no surviving copy
+    const VirtAddr survivor = primary_alive_ ? primary_ : backup_;
+    clio_assert(client_.mnFor(survivor) != replacement_mn,
+                "replacement replica must not share the survivor's MN");
 
     // The controller's resync, pumped to completion: writes issued
     // meanwhile mirror into the copy, and the controller sees the slot
@@ -148,8 +169,7 @@ ReplicatedRegion::heal(NodeId replacement_mn)
             finished = true;
             result = st;
         });
-    clio_assert(started,
-                "replacement replica must not share the survivor's MN");
+    clio_assert(started, "heal: resync refused on a degraded region");
     const bool ok = client_.cnode().eventQueue().runUntil(
         [&finished] { return finished; });
     clio_assert(ok, "heal: simulation drained mid-resync");

@@ -32,17 +32,21 @@
  *  - a failed chunk read aborts a resync and leaves the survivor alone.
  *
  * Self-healing: regions register in the Cluster's ReplicaRegistry.
- * After a verdict the health plane drives beginResync() — a chunked
- * copy from the survivor onto a replacement MN, run as simulator
- * events alongside foreground traffic; a client's heal() starts the
- * same copy and waits for it. Meanwhile reads stay on the survivor and
- * writes mirror into the read-issued prefix of the target, which is
- * swapped in as a replica only once the last chunk lands. A mirror
- * must land after the copy-write of every chunk it overlaps: T2 queues
- * it behind a copy-write already issued (WAW on the target VA), and a
+ * After a verdict the health plane drives beginResync() — an
+ * asynchronous chunked copy from the survivor onto a replacement MN
+ * that runs as ordinary simulator events, concurrently with foreground
+ * traffic. A client's heal() starts the same copy and waits for it.
+ * During resync, reads stay on the survivor (degraded mode) and
+ * writes mirror into the read-issued prefix of the target, so the
+ * region is consistent the instant the last chunk lands; the swap to
+ * fully-redundant happens only then. A mirror must land after the
+ * copy-write of every chunk it overlaps. For a chunk already
+ * copy-written or being copy-written, the client's T2 ordering does
+ * that: the mirror queues behind the copy-write (WAW on the target
+ * VA). Nothing orders a mirror after a copy-write not yet issued, so a
  * write overlapping the chunk whose read is in flight is held until
- * that read's completion issues the copy-write. Every resend pass
- * re-checks the hold and the mirror.
+ * that read's completion is handled, which issues the copy-write.
+ * Every resend pass re-checks the hold and the mirror.
  */
 
 #ifndef CLIO_CLIB_REPLICATION_HH
@@ -87,14 +91,7 @@ class ReplicaRegistry
         std::erase_if(entries_, [r](const Entry &e) { return e.region == r; });
     }
     /** The region registered as `id`; null once it is gone. */
-    ReplicatedRegion *find(std::uint64_t id) const
-    {
-        for (const Entry &e : entries_) {
-            if (e.id == id)
-                return e.region;
-        }
-        return nullptr;
-    }
+    ReplicatedRegion *find(std::uint64_t id) const;
     const std::vector<Entry> &entries() const { return entries_; }
 
   private:

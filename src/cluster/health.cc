@@ -58,23 +58,31 @@ FailureDetector::FailureDetector(Tick suspect_after, Tick dead_after)
 FailureDetector::Entry *
 FailureDetector::find(NodeId node)
 {
-    return const_cast<Entry *>(std::as_const(*this).find(node));
+    for (Entry &e : entries_) {
+        if (e.node == node)
+            return &e;
+    }
+    return nullptr;
 }
 
 const FailureDetector::Entry *
 FailureDetector::find(NodeId node) const
 {
-    const auto it =
-        std::find_if(entries_.begin(), entries_.end(),
-                     [node](const Entry &e) { return e.node == node; });
-    return it == entries_.end() ? nullptr : &*it;
+    for (const Entry &e : entries_) {
+        if (e.node == node)
+            return &e;
+    }
+    return nullptr;
 }
 
 void
 FailureDetector::track(NodeId node, Tick now)
 {
     clio_assert(find(node) == nullptr, "node %u tracked twice", node);
-    entries_.push_back({node, now, 0, NodeHealth::kAlive});
+    Entry e;
+    e.node = node;
+    e.last_beacon = now;
+    entries_.push_back(e);
 }
 
 BeaconOutcome
@@ -321,8 +329,9 @@ HealthPlane::onCnDead(NodeId node)
     for (std::uint32_t i = 0; i < cluster_.clientCount(); i++) {
         ClioClient &c = cluster_.client(i);
         const bool on_dead = c.cnode().nodeId() == node;
-        auto slot = exclusive.emplace(c.pid(), true).first;
-        slot->second = slot->second && on_dead;
+        auto [slot, inserted] = exclusive.emplace(c.pid(), on_dead);
+        if (!inserted)
+            slot->second = slot->second && on_dead;
     }
     for (const auto &[pid, exclusively_dead] : exclusive) {
         if (!exclusively_dead)
@@ -449,7 +458,12 @@ void
 HealthPlane::logEvent(HealthEvent::Kind kind, NodeId node,
                       std::uint64_t region_id)
 {
-    events_.push_back({kind, eq_.now(), node, region_id});
+    HealthEvent e;
+    e.kind = kind;
+    e.at = eq_.now();
+    e.node = node;
+    e.region_id = region_id;
+    events_.push_back(e);
 }
 
 } // namespace clio
