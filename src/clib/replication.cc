@@ -301,9 +301,9 @@ ReplicatedRegion::issueResyncRead()
 void
 ReplicatedRegion::finishResync(Status status)
 {
-    // On any other failure the target VA is abandoned: its board is
-    // dead or unreachable, or the survivor died and left the region
-    // bothDead, which the controller gives up on.
+    // A failed chunk read freed the target VA already (pumpResync).
+    // On any other failure it is abandoned: its board is dead or did
+    // not answer, or the survivor died and left the region bothDead.
     resync_.active = false;
     resync_.aborting = false;
     resync_.reading = false;
