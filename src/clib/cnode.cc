@@ -72,7 +72,7 @@ CNode::freeSlot(std::uint32_t slot)
     out.expected_resp_bytes = 0;
     out.sent_at = 0;
     out.retries = 0;
-    out.generation = 0;
+    out.timer = kNoEvent;
     out.last_fail_timeout = false;
     out.last_fail_fenced = false;
     out.resp_parts.reset();
@@ -158,20 +158,20 @@ CNode::trySend(NodeId mn)
         wait.pop_front();
         st.inflight++;
         iwnd_used_ += out.expected_resp_bytes;
-        transmit(out);
+        transmit(slot);
     }
 }
 
 void
-CNode::transmit(Outstanding &out)
+CNode::transmit(std::uint32_t slot)
 {
     // Stamp the attempt with the CN's current membership epoch: a
     // retry after an epoch refresh carries the new epoch, so one fence
     // round-trip is enough to recover (§ self-healing control plane).
+    Outstanding &out = out_slots_[slot];
     out.req->epoch = epoch_;
     const RequestMsg &req = *out.req;
     out.sent_at = eq_.now();
-    out.generation++;
     out.resp_parts.reset();
     out.resp_corrupted = false;
 
@@ -182,7 +182,8 @@ CNode::transmit(Outstanding &out)
         eq_.now() + cfg_.clib.send_overhead + cfg_.clib.nic_latency;
     sendSplit(eq_, net_, on_wire, node_, req.dst, req.req_id, req.type,
               payload, out.req);
-    armTimeout(req.req_id, out.generation);
+    out.timer = eq_.scheduleAfter(timeoutFor(req),
+                                  [this, slot] { handleTimeout(slot); });
 }
 
 Tick
@@ -210,34 +211,30 @@ CNode::timeoutFor(const RequestMsg &req) const
 }
 
 void
-CNode::armTimeout(ReqId attempt_id, std::uint64_t generation)
+CNode::endAttempt(std::uint32_t slot)
 {
-    const std::uint32_t slot = out_index_.find(attempt_id);
-    clio_assert(slot != out_index_.kNone, "arming unknown request");
-    eq_.scheduleAfter(timeoutFor(*out_slots_[slot].req),
-                      [this, attempt_id, generation] {
-                          handleTimeout(attempt_id, generation);
-                      });
+    Outstanding &out = out_slots_[slot];
+    eq_.cancel(out.timer);
+    out.timer = kNoEvent;
+    out_index_.erase(out.req->req_id);
 }
 
 void
-CNode::handleTimeout(ReqId attempt_id, std::uint64_t generation)
+CNode::handleTimeout(std::uint32_t slot)
 {
-    const std::uint32_t slot = out_index_.find(attempt_id);
-    if (slot == out_index_.kNone ||
-        out_slots_[slot].generation != generation)
-        return; // completed or already retried
+    // The timeout is cancelled whenever its attempt ends, so the slot
+    // still holds the attempt it was armed for.
     stats_.timeouts++;
     out_slots_[slot].last_fail_timeout = true;
     out_slots_[slot].last_fail_fenced = false;
-    out_index_.erase(attempt_id);
+    endAttempt(slot);
     retry(slot, true);
 }
 
 void
 CNode::retry(std::uint32_t slot, bool congestion_signal)
 {
-    // The caller already unlinked `slot` from out_index_; the body
+    // The caller already ended the attempt (endAttempt); the body
     // stays in place and is either re-linked under a fresh attempt id
     // or recycled after the failure callback is scheduled.
     Outstanding &out = out_slots_[slot];
@@ -291,18 +288,11 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
         backoff = std::min<Tick>(cfg_.clib.retry_backoff << k,
                                  cfg_.clib.slow_op_timeout);
     }
-    if (backoff == 0) {
-        transmit(out);
-    } else {
-        // The slot can only be invalidated before the event fires by a
-        // CN crash (which fails and recycles every active slot), so
-        // re-check that the slot still owns this attempt id.
-        const ReqId rid = out.req->req_id;
-        eq_.scheduleAfter(backoff, [this, slot, rid] {
-            if (out_index_.find(rid) == slot)
-                transmit(out_slots_[slot]);
-        });
-    }
+    if (backoff == 0)
+        transmit(slot);
+    else
+        out.timer = eq_.scheduleAfter(backoff,
+                                      [this, slot] { transmit(slot); });
 }
 
 void
@@ -363,7 +353,7 @@ CNode::onPacket(Packet pkt)
         stats_.nacks++;
         out.last_fail_timeout = false;
         out.last_fail_fenced = false;
-        out_index_.erase(pkt.req_id);
+        endAttempt(slot);
         retry(slot, false);
         return;
     }
@@ -411,7 +401,7 @@ CNode::onPacket(Packet pkt)
         // Checksum failure on the response: retry the whole request.
         out.last_fail_timeout = false;
         out.last_fail_fenced = false;
-        out_index_.erase(pkt.req_id);
+        endAttempt(slot);
         retry(slot, false);
         return;
     }
@@ -434,7 +424,7 @@ CNode::onPacket(Packet pkt)
         }
         out.last_fail_timeout = false;
         out.last_fail_fenced = true;
-        out_index_.erase(pkt.req_id);
+        endAttempt(slot);
         retry(slot, false);
         return;
     }
@@ -446,7 +436,7 @@ CNode::onPacket(Packet pkt)
     stats_.responses++;
 
     auto cb = std::move(out.cb);
-    out_index_.erase(pkt.req_id);
+    endAttempt(slot);
     freeSlot(slot);
 
     // CN NIC + CLib software receive overhead before the app sees it.
@@ -473,6 +463,7 @@ CNode::crash()
         Outstanding &out = out_slots_[slot];
         if (!out.cb)
             continue; // free, or already completed
+        eq_.cancel(out.timer); // its timeout or backoff retransmit
         failLater(std::move(out.cb), Status::kTimeout);
         freeSlot(slot);
     }

@@ -8,7 +8,9 @@
  *  - connection-less request/response matching by request id;
  *  - request-level reliability: the whole memory request is retried
  *    (with a FRESH id, carrying the original id for MN-side dedup) on
- *    NACK, corrupted response, or timeout (§4.5 T4);
+ *    NACK, corrupted response, or timeout (§4.5 T4). An attempt's
+ *    timeout is cancelled the moment the attempt ends, so a finished
+ *    request leaves no event behind in the queue;
  *  - delay-based AIMD congestion window per MN, which may fall below
  *    one outstanding request under heavy congestion (Swift-style,
  *    §4.4), plus an incast window bounding expected response bytes;
@@ -153,8 +155,10 @@ class CNode
         std::uint64_t expected_resp_bytes = 0;
         Tick sent_at = 0;
         std::uint32_t retries = 0;
-        /** Timeout-staleness guard. */
-        std::uint64_t generation = 0;
+        /** The slot's one pending event: the current attempt's timeout,
+         * or the retransmit a backoff retry waits for. Every path that
+         * ends the attempt cancels it. */
+        EventId timer = kNoEvent;
         /** Whether the most recent failed attempt died by timeout (vs
          * NACK/corruption) — decides kTimeout vs kRetryExceeded when
          * retries are exhausted. */
@@ -188,9 +192,12 @@ class CNode
     void trySend(NodeId mn);
     /** Retry timeout for one request (type-dependent, §4.5). */
     Tick timeoutFor(const RequestMsg &req) const;
-    void transmit(Outstanding &out);
-    void armTimeout(ReqId attempt_id, std::uint64_t generation);
-    void handleTimeout(ReqId attempt_id, std::uint64_t generation);
+    /** Send the slot's current attempt and arm its timeout. */
+    void transmit(std::uint32_t slot);
+    /** The current attempt is over (answered, NACKed, corrupt, fenced
+     * or timed out): cancel its pending event and unlink its id. */
+    void endAttempt(std::uint32_t slot);
+    void handleTimeout(std::uint32_t slot);
     void retry(std::uint32_t slot, bool congestion_signal);
     void updateCwnd(NodeId mn, Tick rtt);
     /** Multiplicative decrease, at most once per `guard` ticks; below

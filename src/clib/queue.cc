@@ -50,19 +50,13 @@ CompletionQueue::deliver(const HandlePtr &handle)
     // was registered or popped.
     c.completed_at = handle->completed_at_;
     ready_.push_back(std::move(c));
-    if (drain_hook_ && !drain_scheduled_) {
+    if (drain_hook_ && drain_event_ == kNoEvent) {
         // Deferred via a zero-delay event: deliver() runs inside the
         // client's completion path, and the hook typically issues new
         // requests — re-entering the client mid-update would be
         // fragile. One pending invocation coalesces a delivery burst.
-        drain_scheduled_ = true;
-        // The weak token makes the event inert if the queue is torn
-        // down before it fires (it captures `this`).
-        eq_.schedule(eq_.now(), [this, token = std::weak_ptr<const bool>(
-                                           alive_token_)] {
-            if (token.expired())
-                return;
-            drain_scheduled_ = false;
+        drain_event_ = eq_.schedule(eq_.now(), [this] {
+            drain_event_ = kNoEvent;
             if (drain_hook_)
                 drain_hook_();
         });

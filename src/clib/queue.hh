@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "clib/client.hh"
@@ -57,9 +56,10 @@ struct Completion
 
 /**
  * Collects completions of asynchronous requests. Must outlive every
- * handle registered on it. Not tied to one client: requests from
- * several clients sharing one EventQueue may deliver into one CQ
- * (how the closed-loop runner multiplexes actors).
+ * handle registered on it, and be outlived by its EventQueue (the
+ * destructor cancels a pending drain event). Not tied to one client:
+ * requests from several clients sharing one EventQueue may deliver
+ * into one CQ (how the closed-loop runner multiplexes actors).
  */
 class CompletionQueue
 {
@@ -76,6 +76,7 @@ class CompletionQueue
                     "completion queue destroyed with %zu watched "
                     "requests outstanding",
                     outstanding_);
+        eq_.cancel(drain_event_); // it captures `this`
     }
 
     /**
@@ -128,11 +129,8 @@ class CompletionQueue
     std::deque<Completion> ready_;
     std::size_t outstanding_ = 0;
     std::function<void()> drain_hook_;
-    bool drain_scheduled_ = false;
-    /** Expiry token for the scheduled drain event (it captures
-     * `this`; destruction must make a pending event inert). */
-    std::shared_ptr<const bool> alive_token_ =
-        std::make_shared<const bool>(true);
+    /** The pending drain-hook event, if any. */
+    EventId drain_event_ = kNoEvent;
 };
 
 /**

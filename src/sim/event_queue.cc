@@ -78,7 +78,7 @@ EventQueue::arenaGrow()
 {
     const auto base =
         static_cast<std::uint32_t>(arena_.size() * kArenaChunk);
-    arena_.push_back(std::make_unique<EventCallback[]>(kArenaChunk));
+    arena_.push_back(std::make_unique<ArenaCell[]>(kArenaChunk));
     free_cells_.reserve(free_cells_.size() + kArenaChunk);
     for (std::uint32_t i = kArenaChunk; i > 0; i--)
         free_cells_.push_back(base + i - 1);
@@ -109,6 +109,43 @@ EventQueue::readyInsert(const WheelEvent &ev)
         ready_.end(), ev.when,
         [](Tick when, const WheelEvent &e) { return when < e.when; });
     ready_.insert(pos, ev);
+}
+
+void
+EventQueue::wheelRemove(Tick when, std::uint32_t cb_idx)
+{
+    const auto erase = [cb_idx](std::vector<WheelEvent> &v,
+                                std::size_t from) {
+        const auto it = std::find_if(
+            v.begin() + static_cast<std::ptrdiff_t>(from), v.end(),
+            [cb_idx](const WheelEvent &e) { return e.cb_idx == cb_idx; });
+        if (it == v.end())
+            return false;
+        v.erase(it); // keeps the (when, seq) order staging relies on
+        return true;
+    };
+    // Only ready_'s unexecuted tail is live: an executed record before
+    // ready_pos_ may name the same, since reused, cell.
+    const std::uint64_t sn = when >> kSlot0Bits;
+    if (sn == staged_sn_ && erase(ready_, ready_pos_))
+        return;
+    const auto eraseFromSlot = [&](Wheel &wheel, std::uint32_t bits) {
+        const auto idx = static_cast<std::uint32_t>((when >> bits) &
+                                                    (kWheelSlots - 1));
+        if (!erase(wheel.slots[idx], 0))
+            return false;
+        if (wheel.slots[idx].empty())
+            wheel.clear(idx);
+        return true;
+    };
+    if (eraseFromSlot(fine_, kSlot0Bits) ||
+        eraseFromSlot(coarse_, kSlot1Bits))
+        return;
+    const bool found = erase(overflow_, 0);
+    clio_assert(found, "cancelled event %u has no record", cb_idx);
+    overflow_min_ = kNoTick;
+    for (const WheelEvent &ev : overflow_)
+        overflow_min_ = std::min(overflow_min_, ev.when);
 }
 
 void
@@ -162,12 +199,53 @@ EventQueue::sweepOverflow()
     overflow_min_ = new_min;
 }
 
-void
+EventId
 EventQueue::scheduleHeap(Tick when, Callback cb)
 {
     count_++;
-    heap_.push_back(HeapEvent{when, next_seq_++, std::move(cb)});
+    const std::uint64_t seq = next_seq_++;
+    heap_.push_back(HeapEvent{when, seq, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return seq + 1; // never kNoEvent
+}
+
+bool
+EventQueue::cancelHeap(EventId id)
+{
+    // A popped event is no longer in heap_, so an id that ran, is
+    // running or was cancelled is simply not found.
+    const auto it =
+        std::find_if(heap_.begin(), heap_.end(),
+                     [id](const HeapEvent &e) { return e.seq + 1 == id; });
+    if (it == heap_.end())
+        return false;
+    if (it != heap_.end() - 1)
+        *it = std::move(heap_.back());
+    heap_.pop_back();
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    count_--;
+    return true;
+}
+
+bool
+EventQueue::cancel(EventId id)
+{
+    if (id == kNoEvent)
+        return false;
+    if (impl_ != EventQueueImpl::kTimingWheel)
+        return cancelHeap(id);
+    const auto idx = static_cast<std::uint32_t>(id) - 1;
+    if (idx >= arena_.size() * kArenaChunk)
+        return false;
+    ArenaCell &cell = arenaCell(idx);
+    if (cell.gen != static_cast<std::uint32_t>(id >> 32))
+        return false; // ran, running, cancelled, or the cell was reused
+    wheelRemove(cell.when, idx);
+    cell.gen++;
+    cell.cb.reset();
+    free_cells_.push_back(idx);
+    count_--;
+    return true;
 }
 
 namespace {
@@ -268,10 +346,12 @@ EventQueue::runOneWheel()
     count_--;
     // The arena cell stays valid across the call even if the callback
     // schedules (chunks never move); release it only afterwards so a
-    // closure never frees its own cell mid-flight.
-    EventCallback &cb = arenaCell(ev.cb_idx);
-    cb();
-    cb.reset();
+    // closure never frees its own cell mid-flight. Its id goes stale
+    // first, so cancelling the running event is a no-op.
+    ArenaCell &cell = arenaCell(ev.cb_idx);
+    cell.gen++;
+    cell.cb();
+    cell.cb.reset();
     free_cells_.push_back(ev.cb_idx);
     return true;
 }

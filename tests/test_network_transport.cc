@@ -398,5 +398,50 @@ TEST(CNode, RttHistogramPopulated)
     EXPECT_GT(cluster.cn(0).rttHistogram().median(), kMicrosecond);
 }
 
+TEST(CNode, FinishedRequestsLeaveNoEventPending)
+{
+    // Each request arms a timeout (200 ms for an alloc); answered
+    // requests must cancel theirs rather than leave it queued.
+    Cluster cluster(ModelConfig::prototype(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+    const std::size_t idle = eq.pending();
+    constexpr int kOps = 16;
+    for (int i = 0; i < kOps; i++) {
+        const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+        ASSERT_NE(addr, 0u);
+        std::uint64_t v = static_cast<std::uint64_t>(i);
+        ASSERT_EQ(client.rwrite(addr, &v, 8), Status::kOk);
+        ASSERT_EQ(client.rread(addr, &v, 8), Status::kOk);
+    }
+    EXPECT_EQ(eq.pending(), idle);
+}
+
+TEST(CNode, CrashDuringBackoffLeavesNoRetransmitPending)
+{
+    // Every packet is lost, so the first attempt times out and its
+    // retry waits out a backoff; the CN crashes inside that window.
+    auto cfg = ModelConfig::prototype();
+    cfg.net.loss_rate = 1.0;
+    Cluster cluster(cfg, 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+    const std::size_t idle = eq.pending();
+    CNode &cn = cluster.cn(0);
+    auto handle = client.rreadAsync(4 * MiB, nullptr, 8);
+    ASSERT_TRUE(eq.runUntil([&] { return cn.stats().timeouts == 1; }));
+    ASSERT_GT(cfg.clib.retry_backoff, 0u);
+    const std::uint64_t retries = cn.stats().retries;
+    EXPECT_EQ(retries, 1u);
+    cluster.crashCn(0);
+    ASSERT_TRUE(eq.runUntil([&] { return handle->done; }));
+    EXPECT_EQ(handle->status, Status::kTimeout);
+    // The retransmit was cancelled with the request, not left to fire.
+    EXPECT_EQ(eq.pending(), idle);
+    eq.runAll();
+    EXPECT_EQ(cn.stats().retries, retries);
+    EXPECT_EQ(cn.stats().timeouts, 1u);
+}
+
 } // namespace
 } // namespace clio

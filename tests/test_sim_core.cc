@@ -218,66 +218,190 @@ TEST(EventQueue, RunUntilTimeReentrancy)
     EXPECT_EQ(order.back(), 4);
 }
 
+constexpr EventQueueImpl kEngines[] = {EventQueueImpl::kTimingWheel,
+                                       EventQueueImpl::kBinaryHeap};
+
+const char *
+engineName(EventQueueImpl impl)
+{
+    return impl == EventQueueImpl::kTimingWheel ? "wheel" : "heap";
+}
+
 TEST(EventQueue, PendingAndExecutedCounters)
 {
-    EventQueue eq;
-    for (int i = 0; i < 32; i++)
-        eq.schedule(static_cast<Tick>(i * 1000), [] {});
-    EXPECT_EQ(eq.pending(), 32u);
-    EXPECT_EQ(eq.executed(), 0u);
-    for (int i = 0; i < 5; i++)
-        EXPECT_TRUE(eq.runOne());
-    EXPECT_EQ(eq.pending(), 27u);
-    EXPECT_EQ(eq.executed(), 5u);
-    eq.runAll();
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_EQ(eq.executed(), 32u);
-    EXPECT_TRUE(eq.empty());
+    for (const EventQueueImpl impl : kEngines) {
+        SCOPED_TRACE(engineName(impl));
+        EventQueue eq(impl);
+        std::vector<EventId> ids;
+        for (int i = 0; i < 32; i++)
+            ids.push_back(eq.schedule(static_cast<Tick>(i * 1000), [] {}));
+        EXPECT_EQ(eq.pending(), 32u);
+        EXPECT_EQ(eq.executed(), 0u);
+        for (int i = 0; i < 5; i++)
+            EXPECT_TRUE(eq.runOne());
+        EXPECT_EQ(eq.pending(), 27u);
+        EXPECT_EQ(eq.executed(), 5u);
+        // A cancel drops pending() at once and never counts as run.
+        EXPECT_TRUE(eq.cancel(ids[10]));
+        EXPECT_TRUE(eq.cancel(ids[31]));
+        EXPECT_EQ(eq.pending(), 25u);
+        EXPECT_EQ(eq.executed(), 5u);
+        eq.runAll();
+        EXPECT_EQ(eq.pending(), 0u);
+        EXPECT_EQ(eq.executed(), 30u);
+        EXPECT_TRUE(eq.empty());
+        // The last event was cancelled: the clock stops at the one
+        // before it.
+        EXPECT_EQ(eq.now(), 30u * 1000);
+    }
 }
 
 TEST(EventQueue, RandomizedOrderMatchesStableSort)
 {
-    // Differential pin: a random schedule/run interleaving must pop
-    // in exactly (when, insertion order), i.e. a stable sort by time.
-    EventQueue eq;
-    Rng rng(2022);
-    struct Rec
-    {
-        Tick when;
-        int id;
-    };
-    std::vector<Rec> scheduled;
-    std::vector<int> fired;
-    int next_id = 0;
-    for (int round = 0; round < 200; round++) {
-        const int burst = 1 + static_cast<int>(rng.uniformInt(8));
-        for (int i = 0; i < burst; i++) {
-            // Mix of near, same-tick, and far-future times.
-            Tick when = eq.now();
-            switch (rng.uniformInt(4)) {
-            case 0: break;
-            case 1: when += rng.uniformInt(3); break;
-            case 2: when += rng.uniformInt(10 * kMicrosecond); break;
-            default:
-                when += rng.uniformInt(kSecond);
-                break;
+    // Differential pin: a random schedule/cancel/run interleaving must
+    // pop the events that were not cancelled in exactly (when,
+    // insertion order), i.e. a stable sort by time.
+    for (const EventQueueImpl impl : kEngines) {
+        SCOPED_TRACE(engineName(impl));
+        EventQueue eq(impl);
+        Rng rng(2022);
+        struct Rec
+        {
+            Tick when;
+            int id;
+            EventId event;
+        };
+        std::vector<Rec> scheduled;
+        std::vector<int> fired;
+        std::vector<char> ran, cancelled;
+        for (int round = 0; round < 200; round++) {
+            const int burst = 1 + static_cast<int>(rng.uniformInt(8));
+            for (int i = 0; i < burst; i++) {
+                // Mix of near, same-tick, and far-future times.
+                Tick when = eq.now();
+                switch (rng.uniformInt(4)) {
+                case 0: break;
+                case 1: when += rng.uniformInt(3); break;
+                case 2: when += rng.uniformInt(10 * kMicrosecond); break;
+                default:
+                    when += rng.uniformInt(kSecond);
+                    break;
+                }
+                const int id = static_cast<int>(scheduled.size());
+                const EventId ev = eq.schedule(when, [&fired, &ran, id] {
+                    fired.push_back(id);
+                    ran[static_cast<std::size_t>(id)] = true;
+                });
+                scheduled.push_back({when, id, ev});
+                ran.push_back(false);
+                cancelled.push_back(false);
             }
-            const int id = next_id++;
-            scheduled.push_back({when, id});
-            eq.schedule(when, [&fired, id] { fired.push_back(id); });
+            // Cancel a few random events, pending or not: only a
+            // pending one may report success.
+            const int cancels = static_cast<int>(rng.uniformInt(3));
+            for (int i = 0; i < cancels; i++) {
+                const auto k =
+                    static_cast<std::size_t>(rng.uniformInt(scheduled.size()));
+                ASSERT_EQ(eq.cancel(scheduled[k].event),
+                          !ran[k] && !cancelled[k]);
+                cancelled[k] = !ran[k];
+            }
+            const int pops = static_cast<int>(rng.uniformInt(4));
+            for (int i = 0; i < pops; i++)
+                eq.runOne();
         }
-        const int pops = static_cast<int>(rng.uniformInt(4));
-        for (int i = 0; i < pops; i++)
-            eq.runOne();
+        eq.runAll();
+        std::vector<Rec> expected;
+        for (const Rec &r : scheduled) {
+            if (!cancelled[static_cast<std::size_t>(r.id)])
+                expected.push_back(r);
+        }
+        std::stable_sort(expected.begin(), expected.end(),
+                         [](const Rec &a, const Rec &b) {
+                             return a.when < b.when;
+                         });
+        ASSERT_EQ(fired.size(), expected.size());
+        for (std::size_t i = 0; i < fired.size(); i++)
+            ASSERT_EQ(fired[i], expected[i].id);
+        EXPECT_EQ(eq.executed(), fired.size());
     }
-    eq.runAll();
-    std::stable_sort(scheduled.begin(), scheduled.end(),
-                     [](const Rec &a, const Rec &b) {
-                         return a.when < b.when;
-                     });
-    ASSERT_EQ(fired.size(), scheduled.size());
-    for (std::size_t i = 0; i < fired.size(); i++)
-        ASSERT_EQ(fired[i], scheduled[i].id);
+}
+
+TEST(EventQueue, CancelCornerCases)
+{
+    for (const EventQueueImpl impl : kEngines) {
+        SCOPED_TRACE(engineName(impl));
+        EventQueue eq(impl);
+        std::vector<int> fired;
+        const auto at = [&](Tick when, int tag) {
+            return eq.schedule(when, [&fired, tag] { fired.push_back(tag); });
+        };
+
+        // Id 0 names no event.
+        EXPECT_FALSE(eq.cancel(kNoEvent));
+
+        // A second cancel, and a cancel after the event ran.
+        const EventId twice = at(100, 1);
+        EXPECT_TRUE(eq.cancel(twice));
+        EXPECT_FALSE(eq.cancel(twice));
+        const EventId ran = at(200, 2);
+        eq.runAll();
+        EXPECT_FALSE(eq.cancel(ran));
+        EXPECT_EQ(fired, std::vector<int>{2});
+
+        // A self-cancel from inside the callback is a no-op.
+        EventId self = kNoEvent;
+        bool self_cancelled = true;
+        self = eq.schedule(300, [&] { self_cancelled = eq.cancel(self); });
+        eq.runAll();
+        EXPECT_FALSE(self_cancelled);
+        EXPECT_EQ(eq.executed(), 2u);
+        EXPECT_EQ(eq.pending(), 0u);
+
+        // A stale id whose cell was reused leaves the new event alone
+        // (the wheel's free list hands the freed cell out next).
+        const EventId stale = at(400, 3);
+        EXPECT_TRUE(eq.cancel(stale));
+        at(400, 4);
+        EXPECT_FALSE(eq.cancel(stale));
+        EXPECT_FALSE(eq.cancel(ran));
+        EXPECT_EQ(eq.pending(), 1u);
+        eq.runAll();
+        EXPECT_EQ(fired, (std::vector<int>{2, 4}));
+
+        // One cancelled and one kept event in each place a record can
+        // sit: the staged band (same 2^15-tick band as the clock), the
+        // fine wheel, the coarse wheel (>= 134 us out) and the overflow
+        // list (>= 0.55 s out).
+        fired.clear();
+        const Tick t0 = eq.now();
+        const Tick offsets[] = {10, 20 * kMicrosecond, kMillisecond,
+                                kSecond};
+        std::vector<EventId> drop;
+        for (int i = 0; i < 4; i++) {
+            drop.push_back(at(t0 + offsets[i], 100 + i));
+            at(t0 + offsets[i] + 1, 10 + i);
+        }
+        for (const EventId id : drop)
+            EXPECT_TRUE(eq.cancel(id));
+        EXPECT_EQ(eq.pending(), 4u);
+        eq.runAll();
+        EXPECT_EQ(fired, (std::vector<int>{10, 11, 12, 13}));
+        EXPECT_EQ(eq.now(), t0 + kSecond + 1);
+
+        // A staged band's record, cancelled by an event of its band.
+        fired.clear();
+        const Tick t1 = eq.now();
+        EventId later = kNoEvent;
+        eq.schedule(t1 + 1, [&] {
+            fired.push_back(20);
+            EXPECT_TRUE(eq.cancel(later));
+        });
+        later = at(t1 + 2, 21);
+        at(t1 + 3, 22);
+        eq.runAll();
+        EXPECT_EQ(fired, (std::vector<int>{20, 22}));
+    }
 }
 
 TEST(Rng, Deterministic)
