@@ -481,8 +481,8 @@ struct SelfHealRun
  * randomized schedule that kills the primary's MN (downtime > the
  * lease, so the death is always detected), one bystander CN, and rack
  * 2 (controller, client, and both replicas live elsewhere), plus a
- * 100 us heartbeat-only loss window (shorter than dead_after: it must
- * cause suspicion, never a false death). The client only reads and
+ * 70 us heartbeat-only loss window (short enough of dead_after that it
+ * causes suspicion, never a false death). The client only reads and
  * writes; every repair is controller-driven.
  */
 SelfHealRun
@@ -534,11 +534,16 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
     // Rack 2 only: rack 0 holds the controller and the client.
     opts.rack_candidates = {2};
     opts.rack_kills = 1;
-    // Total heartbeat loss for 100 us: with a 20 us beacon period the
-    // longest silent gap is ~120 us — past suspect_after (60 us),
-    // short of dead_after (150 us).
+    // Total heartbeat loss for 70 us: with a 20 us beacon period a
+    // node's silent gap is 70-90 us — past suspect_after (60 us). The
+    // drop and corrupt rates above hit beacons too, and each beacon
+    // they take adds 20 us, so a false death at dead_after (150 us)
+    // needs four more lost next to the window. A 100 us window left
+    // room for only two, and the false death of the surviving
+    // replica's MN or of CN 0 then lost the region on a few seeds in a
+    // thousand.
     opts.hb_loss_rate = 1.0;
-    opts.hb_loss_duration = 100 * kMicrosecond;
+    opts.hb_loss_duration = 70 * kMicrosecond;
     const FaultPlan plan = FaultPlan::randomized(seed, opts);
     FaultInjector injector(cluster, plan, seed + 1);
     injector.arm();
