@@ -264,7 +264,7 @@ ClioClient::rallocAsync(std::uint64_t size, std::uint8_t perm,
                         bool populate, NodeId mn_override)
 {
     stats_.allocs++;
-    const NodeId mn = mn_override
+    const NodeId mn = mn_override != kNoNode
                           ? mn_override
                           : (alloc_picker_ ? alloc_picker_(size)
                                            : home_mn_);

@@ -204,12 +204,13 @@ class ClioClient
 
     /** @{ Asynchronous API (§3.1). Handles complete via rpoll(), or
      * via a CompletionQueue when registered on one.
-     * @param mn_override 0 = placement policy picks the MN; otherwise
-     *        the allocation targets this node (replication, tests). */
+     * @param mn_override kNoNode = placement policy picks the MN;
+     *        otherwise the allocation targets this node (replication,
+     *        tests). */
     HandlePtr rallocAsync(std::uint64_t size,
                           std::uint8_t perm = kPermReadWrite,
                           bool populate = false,
-                          NodeId mn_override = 0);
+                          NodeId mn_override = kNoNode);
     HandlePtr rfreeAsync(VirtAddr addr);
     HandlePtr rreadAsync(VirtAddr addr, void *buf, std::uint64_t len);
     HandlePtr rwriteAsync(VirtAddr addr, const void *src,

@@ -158,7 +158,8 @@ class SubmissionBatch
                       ReqId orig_req_id = 0);
     std::size_t alloc(std::uint64_t size,
                       std::uint8_t perm = kPermReadWrite,
-                      bool populate = false, NodeId mn_override = 0);
+                      bool populate = false,
+                      NodeId mn_override = kNoNode);
     std::size_t free(VirtAddr addr);
     std::size_t atomic(VirtAddr addr, AtomicOp op,
                        std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);

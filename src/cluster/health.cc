@@ -366,7 +366,7 @@ HealthPlane::pumpResyncQueue()
             continue;
         }
         const NodeId replacement = pickReplacement(*r, id);
-        if (replacement == 0) {
+        if (replacement == kNoNode) {
             // No candidate MN right now (e.g. a whole rack is down):
             // retry after the backoff. The region stays queued.
             deferRequeue(id);
@@ -451,7 +451,7 @@ HealthPlane::pickReplacement(const ReplicatedRegion &region,
             return mn.nodeId();
         }
     }
-    return 0;
+    return kNoNode;
 }
 
 void

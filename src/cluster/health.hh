@@ -234,7 +234,8 @@ class HealthPlane
     void onResyncDone(std::uint64_t region_id, bool success);
     /** Put a still-queued region back on pending_ after the backoff. */
     void deferRequeue(std::uint64_t region_id);
-    /** Rack-aware replacement MN for a degraded region (0 = none). */
+    /** Rack-aware replacement MN for a degraded region (kNoNode =
+     * none). */
     NodeId pickReplacement(const ReplicatedRegion &region,
                            std::uint64_t region_id) const;
 

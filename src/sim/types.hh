@@ -48,6 +48,10 @@ using ProcId = std::uint32_t;
 /** Node identifiers within a cluster. */
 using NodeId = std::uint32_t;
 
+/** "No node": outside the node-id range (ids count up from 0, and MN 0
+ * is node 0), so it never names a real node. */
+constexpr NodeId kNoNode = ~NodeId{0};
+
 /** Rack (leaf/ToR switch) identifier within a multi-rack cluster. */
 using RackId = std::uint32_t;
 

@@ -317,6 +317,50 @@ TEST(HealthPlane, ResyncDefersWhenNoCandidateExists)
     EXPECT_EQ(got, 0xBEEFu);
 }
 
+TEST(HealthPlane, RepairStartsOnMnZeroWhenItIsTheOnlyCandidate)
+{
+    // Replicas on MNs 1 and 2: once MN 1 dies, MN 0 — node 0, which
+    // once also meant "no candidate" and "placement picks" — is the
+    // only place to repair to. A populated ballast region makes MN 0
+    // the most-pressured MN, so a copy left to the placement policy
+    // would land on the survivor's board instead.
+    auto cfg = healthConfig();
+    Cluster cluster(cfg, 1, 3);
+    HealthPlane *hp = cluster.health();
+    ClioClient &client = cluster.createClient(0);
+    EventQueue &eq = cluster.eventQueue();
+
+    const VirtAddr ballast =
+        client.ralloc(16 * MiB, kPermReadWrite, true).value_or(0);
+    ASSERT_NE(ballast, 0u);
+    ASSERT_EQ(client.mnFor(ballast), cluster.mn(0).nodeId());
+    ReplicatedRegion region(client, 256 * KiB, cluster.mn(1).nodeId(),
+                            cluster.mn(2).nodeId());
+    ASSERT_TRUE(region.ok());
+    std::uint64_t v = 0xC0FFEE;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    ASSERT_GT(cluster.mn(0).memoryPressure(),
+              cluster.mn(2).memoryPressure());
+
+    const std::uint64_t mn0_writes = cluster.mn(0).stats().writes;
+    const std::uint64_t mn2_writes = cluster.mn(2).stats().writes;
+    cluster.crashMn(1);
+    eq.runUntilTime(eq.now() + 10 * kMillisecond);
+
+    EXPECT_EQ(hp->stats().resyncs_started, 1u);
+    EXPECT_EQ(hp->stats().resyncs_deferred, 0u);
+    EXPECT_TRUE(region.fullyRedundant());
+    EXPECT_EQ(region.primaryMn(), cluster.mn(0).nodeId());
+    // The chunk copy wrote to MN 0 and never to the survivor...
+    EXPECT_GT(cluster.mn(0).stats().writes, mn0_writes);
+    EXPECT_EQ(cluster.mn(2).stats().writes, mn2_writes);
+    // ...and the copy on MN 0 serves reads once the survivor is gone.
+    cluster.crashMn(2);
+    std::uint64_t got = 0;
+    ASSERT_EQ(region.read(0, &got, 8), Status::kOk);
+    EXPECT_EQ(got, 0xC0FFEEu);
+}
+
 TEST(HealthPlane, CnDeathReleasesOrphanedLocks)
 {
     auto cfg = healthConfig();

@@ -684,10 +684,38 @@ TEST(Replication, LateAttemptCannotOverwriteALaterWrite)
     EXPECT_EQ(out, 0xBBBBu);
 }
 
+TEST(Replication, PrimaryOnMnZeroLandsOnMnZero)
+{
+    // MN 0's node id is 0, which once also meant "placement picks". A
+    // populated ballast region makes MN 0 the most-pressured MN, so a
+    // replica left to the placement policy would land on MN 1.
+    Cluster cluster(ModelConfig::prototype(), 1, 3);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr ballast =
+        client.ralloc(16 * MiB, kPermReadWrite, true).value_or(0);
+    ASSERT_NE(ballast, 0u);
+    ASSERT_EQ(client.mnFor(ballast), cluster.mn(0).nodeId());
+    ASSERT_GT(cluster.mn(0).memoryPressure(),
+              cluster.mn(1).memoryPressure());
+
+    ReplicatedRegion region(client, 4 * MiB, cluster.mn(0).nodeId(),
+                            cluster.mn(2).nodeId());
+    ASSERT_TRUE(region.ok());
+    const std::uint64_t mn0_writes = cluster.mn(0).stats().writes;
+    std::uint64_t v = 0xFEED;
+    ASSERT_EQ(region.write(0, &v, 8), Status::kOk);
+    EXPECT_GT(cluster.mn(0).stats().writes, mn0_writes);
+    EXPECT_EQ(cluster.mn(1).stats().writes, 0u);
+    // The copy on MN 0 serves reads once the backup's MN is gone.
+    cluster.crashMn(2);
+    std::uint64_t out = 0;
+    ASSERT_EQ(region.read(0, &out, 8), Status::kOk);
+    EXPECT_EQ(out, 0xFEEDu);
+}
+
 /** A 3-rack cluster, one CN and two MNs per rack, whose client on CN 1
  * keeps a region on MN 1 (rack 0) and MN 4 (rack 2): killing rack 1
- * cuts the CN off from both live replicas. MN 0 is avoided: its node id
- * 0 is also the "placement picks" value of rallocAsync's override. */
+ * cuts the CN off from both live replicas. */
 struct CutOffCn
 {
     explicit CutOffCn(bool health)
