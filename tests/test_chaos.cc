@@ -538,10 +538,10 @@ runSelfHealingSchedule(std::uint64_t seed, EventQueueImpl impl)
     // node's silent gap is 70-90 us — past suspect_after (60 us). The
     // drop and corrupt rates above hit beacons too, and each beacon
     // they take adds 20 us, so a false death at dead_after (150 us)
-    // needs four more lost next to the window. A 100 us window left
+    // needs four more lost next to the window. A 100 us window leaves
     // room for only two, and the false death of the surviving
-    // replica's MN or of CN 0 then lost the region on a few seeds in a
-    // thousand.
+    // replica's MN or of CN 0 then loses the region on a few seeds in
+    // a thousand.
     opts.hb_loss_rate = 1.0;
     opts.hb_loss_duration = 70 * kMicrosecond;
     const FaultPlan plan = FaultPlan::randomized(seed, opts);

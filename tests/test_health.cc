@@ -319,11 +319,11 @@ TEST(HealthPlane, ResyncDefersWhenNoCandidateExists)
 
 TEST(HealthPlane, RepairStartsOnMnZeroWhenItIsTheOnlyCandidate)
 {
-    // Replicas on MNs 1 and 2: once MN 1 dies, MN 0 — node 0, which
-    // once also meant "no candidate" and "placement picks" — is the
-    // only place to repair to. A populated ballast region makes MN 0
-    // the most-pressured MN, so a copy left to the placement policy
-    // would land on the survivor's board instead.
+    // Replicas on MNs 1 and 2: once MN 1 dies, MN 0 is the only place
+    // to repair to, and its node id 0 must read as neither "no
+    // candidate" nor "placement picks". A populated ballast region
+    // makes MN 0 the most-pressured MN, so a copy left to the
+    // placement policy would land on the survivor's board instead.
     auto cfg = healthConfig();
     Cluster cluster(cfg, 1, 3);
     HealthPlane *hp = cluster.health();

@@ -686,9 +686,9 @@ TEST(Replication, LateAttemptCannotOverwriteALaterWrite)
 
 TEST(Replication, PrimaryOnMnZeroLandsOnMnZero)
 {
-    // MN 0's node id is 0, which once also meant "placement picks". A
-    // populated ballast region makes MN 0 the most-pressured MN, so a
-    // replica left to the placement policy would land on MN 1.
+    // MN 0's node id 0 must not read as "placement picks". A populated
+    // ballast region makes MN 0 the most-pressured MN, so a replica
+    // left to the placement policy would land on MN 1.
     Cluster cluster(ModelConfig::prototype(), 1, 3);
     ClioClient &client = cluster.createClient(0);
     const VirtAddr ballast =
