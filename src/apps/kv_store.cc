@@ -119,16 +119,33 @@ ClioKvOffload::init(OffloadVm &vm)
     // Bucket head array lives at the start of the offload's RAS.
     bucket_array_ = vm.alloc(bucket_count_ * 8);
     clio_assert(bucket_array_ != 0, "Clio-KV: bucket array alloc failed");
-    // Heads start as 0 (fresh pages read as zero after fault).
+    // Heads start as 0 (fresh pages read as zero after fault). A
+    // re-deploy after a restart gets a fresh address space, so the
+    // slab cursor and the free stacks of the old one are dropped.
+    slab_base_ = 0;
+    slab_used_ = 0;
+    free_blocks_.clear();
+    free_count_ = 0;
+}
+
+std::uint64_t
+ClioKvOffload::blockBytes(std::uint64_t n)
+{
+    return (std::max<std::uint64_t>(n, 8 + kMaxKeyBytes) + 7) & ~7ull;
 }
 
 std::uint64_t
 ClioKvOffload::slabAlloc(OffloadVm &vm, std::uint64_t n)
 {
-    // Reserve at least one burst so the speculative header+key fetch
-    // never crosses the slab's allocation boundary.
-    n = std::max<std::uint64_t>(n, 8 + kMaxKeyBytes);
+    n = blockBytes(n);
     clio_assert(n <= kSlabBytes, "object larger than a slab");
+    const auto it = free_blocks_.find(n);
+    if (it != free_blocks_.end() && !it->second.empty()) {
+        const std::uint64_t addr = it->second.back();
+        it->second.pop_back();
+        free_count_--;
+        return addr;
+    }
     if (slab_base_ == 0 || slab_used_ + n > kSlabBytes) {
         slab_base_ = vm.alloc(kSlabBytes);
         if (slab_base_ == 0)
@@ -137,8 +154,32 @@ ClioKvOffload::slabAlloc(OffloadVm &vm, std::uint64_t n)
         slabs_++;
     }
     const std::uint64_t addr = slab_base_ + slab_used_;
-    slab_used_ += (n + 7) & ~7ull; // 8-byte alignment
+    slab_used_ += n;
     return addr;
+}
+
+void
+ClioKvOffload::freeBlock(std::uint64_t addr, std::uint64_t n)
+{
+    if (free_count_ == kMaxFreeBlocks) {
+        unreclaimed_++;
+        return;
+    }
+    free_blocks_[blockBytes(n)].push_back(addr);
+    free_count_++;
+}
+
+std::uint64_t
+ClioKvOffload::matchBlock(OffloadVm &vm, std::uint64_t addr,
+                          const std::string &key)
+{
+    std::uint32_t stored[2] = {};
+    if (!vm.read(addr, stored, 8) || stored[0] > kMaxKeyBytes)
+        return 0; // unreadable or foreign/corrupt block
+    std::string stored_key(stored[0], '\0');
+    vm.read(addr + 8, stored_key.data(), stored[0]);
+    return stored_key == key ? 8 + std::uint64_t{stored[0]} + stored[1]
+                             : 0;
 }
 
 bool
@@ -257,6 +298,7 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
                             "clio-kv: slab allocation failed",
                             Status::kOutOfMemory);
     }
+    // From here on a failing put hands its fresh block back.
     std::uint32_t lens[2] = {static_cast<std::uint32_t>(key.size()),
                              static_cast<std::uint32_t>(value.size())};
     vm.write(block, lens, 8);
@@ -271,20 +313,21 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
     while (cursor) {
         Slot slot;
         if (!readSlot(vm, cursor, slot)) {
+            freeBlock(block, block_len);
             return offloadError(OffloadErrc::kBadAddress,
                                 "clio-kv: slot read faulted");
         }
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
             Entry &entry = slot.entries[i];
             if (entry.fp == h && entry.addr != 0) {
-                std::uint32_t stored[2];
-                vm.read(entry.addr, stored, 8);
-                std::string stored_key(stored[0], '\0');
-                vm.read(entry.addr + 8, stored_key.data(), stored[0]);
-                if (stored_key == key) {
-                    // Overwrite: pointer flip to the new block.
+                const std::uint64_t old_addr = entry.addr;
+                const std::uint64_t old_len = matchBlock(vm, old_addr, key);
+                if (old_len) {
+                    // Overwrite: pointer flip to the new block. Then
+                    // nothing points at the old one.
                     entry.addr = block;
                     vm.write(cursor + 8 + i * 16, &entry, 16);
+                    freeBlock(old_addr, old_len);
                     return res;
                 }
             }
@@ -305,6 +348,7 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
     // All slots full (or bucket empty): allocate and link a new slot.
     const std::uint64_t new_slot_addr = slabAlloc(vm, kSlotBytes);
     if (!new_slot_addr) {
+        freeBlock(block, block_len);
         return offloadError(OffloadErrc::kAllocFailed,
                             "clio-kv: slot allocation failed",
                             Status::kOutOfMemory);
@@ -337,14 +381,12 @@ ClioKvOffload::del(OffloadVm &vm, const std::string &key)
             Entry &entry = slot.entries[i];
             if (entry.fp != h || entry.addr == 0)
                 continue;
-            std::uint32_t stored[2];
-            vm.read(entry.addr, stored, 8);
-            std::string stored_key(stored[0], '\0');
-            vm.read(entry.addr + 8, stored_key.data(), stored[0]);
-            if (stored_key != key)
+            const std::uint64_t len = matchBlock(vm, entry.addr, key);
+            if (!len)
                 continue;
             Entry cleared{};
             vm.write(cursor + 8 + i * 16, &cleared, 16);
+            freeBlock(entry.addr, len); // no entry points at it now
             res.value = 1; // deleted
             return res;
         }

@@ -9,7 +9,19 @@
  *    {64-bit key fingerprint, VA of the key-value block};
  *  - key-value blocks {klen, vlen, key bytes, value bytes} carved out
  *    of slab pages (4 MB huge pages sub-allocated by the offload, so
- *    rallocs are rare and amortized).
+ *    rallocs are rare and amortized). A block takes at least one
+ *    8 + kMaxKeyBytes burst, rounded up to 8 bytes.
+ *
+ * A put writes its block out of place and then flips the entry
+ * pointer; a delete clears the entry. Either way the block no entry
+ * points at any more goes onto a LIFO free stack for its rounded size,
+ * and the slab allocator takes a block of the same size from there
+ * before it carves the slab. The stacks are offload-local control
+ * state like the slab cursor: they cost no modeled DRAM access, and
+ * the block's size comes from the {klen, vlen} header the key compare
+ * already read. On-chip state is finite, so the stacks hold at most
+ * kMaxFreeBlocks addresses in total; a free that finds them full
+ * leaves the block unreclaimed and counts it. Slots are never freed.
  *
  * A CN-side partitioner (ClioKvClient) spreads keys across MNs; all
  * requests for one partition go to the same MN, whose ordered
@@ -20,6 +32,7 @@
 #define CLIO_APPS_KV_STORE_HH
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,6 +69,10 @@ class ClioKvOffload : public Offload
     std::uint64_t puts() const { return puts_; }
     std::uint64_t deletes() const { return deletes_; }
     std::uint64_t slabsAllocated() const { return slabs_; }
+    /** Blocks waiting on the free stacks for reuse. */
+    std::uint64_t freeBlocks() const { return free_count_; }
+    /** Frees that found the stacks full: those blocks are lost. */
+    std::uint64_t unreclaimedBlocks() const { return unreclaimed_; }
     /** @} */
 
     static std::uint64_t hashKey(const std::string &key);
@@ -63,6 +80,10 @@ class ClioKvOffload : public Offload
     /** Maximum key length: lets the FPGA fetch header + key in one
      * speculative DRAM burst. */
     static constexpr std::uint64_t kMaxKeyBytes = 64;
+
+    /** Free-stack capacity, in block addresses across all sizes
+     * (8 KiB of on-chip state). */
+    static constexpr std::uint64_t kMaxFreeBlocks = 1024;
 
   private:
     static constexpr std::uint32_t kEntriesPerSlot = 7;
@@ -82,9 +103,26 @@ class ClioKvOffload : public Offload
         Entry entries[kEntriesPerSlot];
     };
 
-    /** Allocate `n` bytes from the current slab (new slab as needed).
+    /** Bytes a block of `n` bytes takes: at least one header+key
+     * burst, so the speculative fetch never crosses its end, rounded
+     * up to 8 bytes. */
+    static std::uint64_t blockBytes(std::uint64_t n);
+
+    /** Allocate `n` bytes: a freed block of the same rounded size,
+     * else from the current slab (new slab as needed).
      * @return 0 on allocation failure. */
     std::uint64_t slabAlloc(OffloadVm &vm, std::uint64_t n);
+
+    /** Return the `n`-byte block at `addr`, which no entry points at,
+     * to its free stack (or count it unreclaimed if the stacks are
+     * full). */
+    void freeBlock(std::uint64_t addr, std::uint64_t n);
+
+    /** Read the block header at `addr`, then its key, and compare it
+     * with `key`. @return the block's size in bytes on a match, else
+     * 0. */
+    std::uint64_t matchBlock(OffloadVm &vm, std::uint64_t addr,
+                             const std::string &key);
 
     bool readSlot(OffloadVm &vm, std::uint64_t addr, Slot &slot);
     bool writeSlot(OffloadVm &vm, std::uint64_t addr, const Slot &slot);
@@ -100,6 +138,12 @@ class ClioKvOffload : public Offload
     /** Slab cursor (offload-local registers, not remote memory). */
     VirtAddr slab_base_ = 0;
     std::uint64_t slab_used_ = 0;
+
+    /** Free blocks by rounded size, each stack LIFO (offload-local,
+     * like the slab cursor). */
+    std::map<std::uint64_t, std::vector<std::uint64_t>> free_blocks_;
+    std::uint64_t free_count_ = 0;
+    std::uint64_t unreclaimed_ = 0;
 
     std::uint64_t gets_ = 0;
     std::uint64_t puts_ = 0;

@@ -137,10 +137,12 @@ CNode::trySend(NodeId mn)
             if (st.inflight >= 1)
                 return;
             if (eq_.now() < st.next_send_allowed) {
-                // Paced below one request per RTT: re-poll at the gate.
-                const NodeId mn_copy = mn;
-                eq_.schedule(st.next_send_allowed,
-                             [this, mn_copy] { trySend(mn_copy); });
+                // Paced below one request per RTT: re-poll at the gate,
+                // once however many calls find it closed.
+                if (st.repoll_at != st.next_send_allowed) {
+                    st.repoll_at = st.next_send_allowed;
+                    eq_.schedule(st.repoll_at, [this, mn] { trySend(mn); });
+                }
                 return;
             }
         }

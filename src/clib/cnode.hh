@@ -180,6 +180,8 @@ class CNode
         std::uint32_t inflight = 0;
         /** Pacing gate used when cwnd < 1. */
         Tick next_send_allowed = 0;
+        /** Tick of the last re-poll scheduled at the gate. */
+        Tick repoll_at = 0;
         Tick last_rtt = 0;
         /** Once-per-RTT limiter for multiplicative decrease. */
         Tick last_decrease = 0;

@@ -231,13 +231,9 @@ HealthPlane::scheduleCheck()
     const Tick deadline = detector_.nextDeadline();
     if (deadline == FailureDetector::kNoDeadline)
         return; // nothing tracked is alive; beacons will re-arm us
-    const std::uint64_t gen = ++check_gen_;
-    const Tick when = std::max(deadline, eq_.now());
-    eq_.schedule(when, [this, gen] {
-        if (gen != check_gen_)
-            return; // superseded by a later beacon/reschedule
-        runSweep();
-    });
+    eq_.cancel(check_event_); // superseded by this sweep
+    check_event_ = eq_.schedule(std::max(deadline, eq_.now()),
+                                [this] { runSweep(); });
 }
 
 void

@@ -260,9 +260,9 @@ class HealthPlane
     std::deque<std::uint64_t> pending_;
     std::uint32_t active_resyncs_ = 0;
 
-    /** Generation guard: every scheduleCheck() supersedes older
-     * pending sweep events. */
-    std::uint64_t check_gen_ = 0;
+    /** The pending lease sweep; scheduleCheck() cancels it when it
+     * schedules the next one. */
+    EventId check_event_ = kNoEvent;
 
     HealthStats stats_;
     std::vector<HealthEvent> events_;

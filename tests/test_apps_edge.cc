@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "apps/dataframe.hh"
@@ -18,45 +19,86 @@
 #include "apps/ycsb.hh"
 #include "cluster/cluster.hh"
 #include "devsim/dev_board.hh"
+#include "sim/rng.hh"
 
 namespace clio {
 namespace {
 
+/** A dev board running one Clio-KV offload, with checked calls. */
+struct KvDev
+{
+    explicit KvDev(std::uint32_t buckets = 4096,
+                   std::uint64_t phys_bytes = 0)
+        : dev(ModelConfig::prototype(), phys_bytes),
+          kv(std::make_shared<ClioKvOffload>(buckets))
+    {
+        dev.board().registerOffload(ClioKvOffload::descriptor(1), kv);
+    }
+
+    bool
+    put(const std::string &k, const std::string &v)
+    {
+        return dev.offloadCall(1, kvEncode(KvOp::kPut, k, v)) ==
+               Status::kOk;
+    }
+
+    /** The stored value, or nullopt when the key is absent. */
+    std::optional<std::string>
+    get(const std::string &k)
+    {
+        std::vector<std::uint8_t> data;
+        std::uint64_t found = 0;
+        if (dev.offloadCall(1, kvEncode(KvOp::kGet, k), &data, &found) !=
+                Status::kOk ||
+            found != 1)
+            return std::nullopt;
+        return std::string(data.begin(), data.end());
+    }
+
+    bool
+    del(const std::string &k)
+    {
+        std::uint64_t deleted = 0;
+        return dev.offloadCall(1, kvEncode(KvOp::kDelete, k), nullptr,
+                               &deleted) == Status::kOk &&
+               deleted == 1;
+    }
+
+    DevBoard dev;
+    std::shared_ptr<ClioKvOffload> kv;
+};
+
+/** `n` bytes that differ with `tag`, so a block handed to the wrong
+ * key shows up as a wrong value. */
+std::string
+patterned(std::size_t n, std::uint64_t tag)
+{
+    std::string v(n, '\0');
+    for (std::size_t i = 0; i < n; i++)
+        v[i] = static_cast<char>('a' + (tag * 7 + i) % 26);
+    return v;
+}
+
 TEST(KvEdge, DeleteThenReinsertSameBucket)
 {
-    DevBoard dev;
-    dev.board().registerOffload(
-        ClioKvOffload::descriptor(1), std::make_shared<ClioKvOffload>(4));
     // Many keys in 4 buckets: deletes punch holes in slot chains that
     // later puts must reuse.
+    KvDev kv(4);
     std::map<std::string, std::string> mirror;
     auto put = [&](const std::string &k, const std::string &v) {
-        ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kPut, k, v)),
-                  Status::kOk);
+        ASSERT_TRUE(kv.put(k, v));
         mirror[k] = v;
     };
-    auto del = [&](const std::string &k) {
-        std::uint64_t deleted = 0;
-        ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kDelete, k), nullptr,
-                                  &deleted),
-                  Status::kOk);
-        mirror.erase(k);
-    };
     auto verify = [&] {
-        for (const auto &[k, v] : mirror) {
-            std::vector<std::uint8_t> data;
-            std::uint64_t found = 0;
-            ASSERT_EQ(dev.offloadCall(1, kvEncode(KvOp::kGet, k), &data,
-                                      &found),
-                      Status::kOk);
-            ASSERT_EQ(found, 1u) << k;
-            EXPECT_EQ(std::string(data.begin(), data.end()), v);
-        }
+        for (const auto &[k, v] : mirror)
+            EXPECT_EQ(kv.get(k), v) << k;
     };
     for (int i = 0; i < 60; i++)
         put("key" + std::to_string(i), "v" + std::to_string(i));
-    for (int i = 0; i < 60; i += 3)
-        del("key" + std::to_string(i));
+    for (int i = 0; i < 60; i += 3) {
+        ASSERT_TRUE(kv.del("key" + std::to_string(i)));
+        mirror.erase("key" + std::to_string(i));
+    }
     verify();
     for (int i = 0; i < 60; i += 3)
         put("key" + std::to_string(i), "re" + std::to_string(i));
@@ -88,6 +130,163 @@ TEST(KvEdge, MalformedArgumentsRejected)
     EXPECT_EQ(dev.offloadCall(1, {0x01}), Status::kOffloadError);
     // Truncated put (klen says 10, bytes missing).
     EXPECT_EQ(dev.offloadCall(1, {0x01, 10, 0}), Status::kOffloadError);
+}
+
+TEST(KvEdge, OverwritesReuseTheReplacedBlock)
+{
+    // Each overwrite writes a fresh block and flips the entry to it;
+    // the block it replaced is the next overwrite's fresh block, so
+    // the slab count stays where the first pass left it.
+    KvDev kv;
+    constexpr int kKeys = 64;
+    std::vector<std::string> latest(kKeys);
+    auto putAll = [&](int round) {
+        for (int k = 0; k < kKeys; k++) {
+            latest[k] = patterned(1024, round * kKeys + k);
+            ASSERT_TRUE(kv.put("key" + std::to_string(k), latest[k]));
+        }
+    };
+    putAll(0);
+    const std::uint64_t slabs = kv.kv->slabsAllocated();
+    for (int round = 1; round <= 100; round++) {
+        putAll(round);
+        ASSERT_EQ(kv.kv->slabsAllocated(), slabs) << "round " << round;
+        // Overwrite-only traffic takes a block before it frees one.
+        EXPECT_LE(kv.kv->freeBlocks(), 1u);
+        for (int k = 0; k < kKeys; k++)
+            ASSERT_EQ(kv.get("key" + std::to_string(k)), latest[k]);
+    }
+    EXPECT_EQ(kv.kv->unreclaimedBlocks(), 0u);
+}
+
+TEST(KvEdge, DeleteThenPutReusesTheBlock)
+{
+    KvDev kv;
+    ASSERT_TRUE(kv.put("a", patterned(100, 1)));
+    ASSERT_TRUE(kv.put("b", patterned(100, 2)));
+    const std::uint64_t slabs = kv.kv->slabsAllocated();
+    ASSERT_TRUE(kv.del("a"));
+    EXPECT_EQ(kv.kv->freeBlocks(), 1u);
+    // A block of another rounded size does not take it...
+    ASSERT_TRUE(kv.put("c", patterned(500, 3)));
+    EXPECT_EQ(kv.kv->freeBlocks(), 1u);
+    // ...a block of the same size does.
+    ASSERT_TRUE(kv.put("d", patterned(100, 4)));
+    EXPECT_EQ(kv.kv->freeBlocks(), 0u);
+    EXPECT_EQ(kv.kv->slabsAllocated(), slabs);
+    EXPECT_EQ(kv.get("a"), std::nullopt);
+    EXPECT_EQ(kv.get("b"), patterned(100, 2));
+    EXPECT_EQ(kv.get("c"), patterned(500, 3));
+    EXPECT_EQ(kv.get("d"), patterned(100, 4));
+}
+
+TEST(KvEdge, ReuseMatchesAnOrderedMap)
+{
+    // Random puts, gets and deletes over a few value sizes in a small
+    // table (long chains, many holes), checked against std::map: a
+    // reused block that still backed a live value would surface as a
+    // wrong value. Values of 0 and 48 bytes share one rounded block
+    // size, and 104-byte values round to a slot's size, so freed
+    // blocks also become chain slots.
+    const std::size_t kSizes[] = {0, 48, 104, 1000};
+    for (std::uint64_t seed = 1; seed <= 3; seed++) {
+        KvDev kv(16);
+        Rng rng(seed);
+        std::map<std::string, std::string> mirror;
+        for (std::uint64_t op = 0; op < 6000; op++) {
+            const std::string key =
+                "key" + std::to_string(rng.uniformInt(200));
+            const std::uint64_t dice = rng.uniformInt(100);
+            if (dice < 45) {
+                const std::string value =
+                    patterned(kSizes[rng.uniformInt(4)], op);
+                ASSERT_TRUE(kv.put(key, value));
+                mirror[key] = value;
+            } else if (dice < 80) {
+                const auto it = mirror.find(key);
+                ASSERT_EQ(kv.get(key), it == mirror.end()
+                                           ? std::nullopt
+                                           : std::optional(it->second))
+                    << "seed " << seed << " op " << op;
+            } else {
+                ASSERT_EQ(kv.del(key), mirror.erase(key) == 1);
+            }
+        }
+        for (int k = 0; k < 200; k++) {
+            const std::string key = "key" + std::to_string(k);
+            const auto it = mirror.find(key);
+            ASSERT_EQ(kv.get(key), it == mirror.end()
+                                       ? std::nullopt
+                                       : std::optional(it->second));
+        }
+        EXPECT_EQ(kv.kv->unreclaimedBlocks(), 0u);
+    }
+}
+
+TEST(KvEdge, FullFreeStacksCountDrops)
+{
+    // More deletes than the stacks hold: the surplus blocks are
+    // counted as unreclaimed, never clamped silently, and every
+    // value stays correct as the kept blocks are reused.
+    KvDev kv;
+    constexpr std::uint64_t kCap = ClioKvOffload::kMaxFreeBlocks;
+    constexpr std::uint64_t kKeys = kCap + 100;
+    for (std::uint64_t k = 0; k < kKeys; k++)
+        ASSERT_TRUE(kv.put("key" + std::to_string(k), patterned(64, k)));
+    const std::uint64_t slabs = kv.kv->slabsAllocated();
+    for (std::uint64_t k = 0; k < kKeys; k++)
+        ASSERT_TRUE(kv.del("key" + std::to_string(k)));
+    EXPECT_EQ(kv.kv->freeBlocks(), kCap);
+    EXPECT_EQ(kv.kv->unreclaimedBlocks(), kKeys - kCap);
+    for (std::uint64_t k = 0; k < kKeys; k++)
+        ASSERT_TRUE(
+            kv.put("key" + std::to_string(k), patterned(64, k + kKeys)));
+    EXPECT_EQ(kv.kv->freeBlocks(), 0u);
+    EXPECT_EQ(kv.kv->slabsAllocated(), slabs);
+    for (std::uint64_t k = 0; k < kKeys; k++)
+        ASSERT_EQ(kv.get("key" + std::to_string(k)),
+                  patterned(64, k + kKeys));
+}
+
+TEST(KvEdge, FailedPutReturnsItsBlock)
+{
+    // On an 8 MiB board the bucket array and the first slab take every
+    // frame, so later slabs are never backed. One bucket chains all
+    // keys; once its second slot sits on such a slab, a put faults
+    // reading the chain after it took its block. It must hand the block
+    // back, so repeated failing puts carve nothing.
+    KvDev kv(1, 8 * MiB);
+    const std::string value(1 * MiB, 'x');
+    int k = 0;
+    while (k < 32 && kv.put("key" + std::to_string(k), value))
+        k++;
+    ASSERT_LT(k, 32) << "no put failed";
+    const std::uint64_t slabs = kv.kv->slabsAllocated();
+    EXPECT_EQ(kv.kv->freeBlocks(), 1u);
+    for (int i = 1; i <= 10; i++) {
+        EXPECT_FALSE(kv.put("key" + std::to_string(k + i), value));
+        EXPECT_EQ(kv.kv->freeBlocks(), 1u);
+    }
+    EXPECT_EQ(kv.kv->slabsAllocated(), slabs);
+}
+
+TEST(KvEdge, RestartRedeploysAnEmptyStore)
+{
+    // A restarted board re-deploys the offload into a fresh address
+    // space: blocks of the old one, in the slab cursor or on a free
+    // stack, must not be handed out again.
+    KvDev kv;
+    ASSERT_TRUE(kv.put("a", patterned(100, 1)));
+    ASSERT_TRUE(kv.put("b", patterned(100, 2)));
+    ASSERT_TRUE(kv.del("a"));
+    kv.dev.board().crash();
+    kv.dev.board().restart();
+    EXPECT_EQ(kv.kv->freeBlocks(), 0u);
+    EXPECT_EQ(kv.get("b"), std::nullopt);
+    ASSERT_TRUE(kv.put("c", patterned(100, 3)));
+    ASSERT_TRUE(kv.put("d", patterned(2000, 4)));
+    EXPECT_EQ(kv.get("c"), patterned(100, 3));
+    EXPECT_EQ(kv.get("d"), patterned(2000, 4));
 }
 
 TEST(MvEdge, CapacityLimits)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -198,6 +199,34 @@ TEST(HealthPlane, DetectsMnCrashWithinLeaseBounds)
               cfg.health.dead_after - 2 * cfg.health.heartbeat_period);
     EXPECT_LE(death_tick - crash_at,
               cfg.health.dead_after + 2 * cfg.health.heartbeat_period);
+}
+
+TEST(HealthPlane, BeaconsWithinOneLeaseLeaveOneSweepPending)
+{
+    // Every beacon moves a lease deadline and re-arms the sweep; the
+    // sweep it supersedes must leave the queue, not wait there as a
+    // no-op. A healthy, idle cluster then holds one heartbeat timer per
+    // node, one sweep, and at times one beacon in flight.
+    auto cfg = healthConfig();
+    Cluster cluster(cfg, 1, 2);
+    HealthPlane *hp = cluster.health();
+    ASSERT_NE(hp, nullptr);
+    EventQueue &eq = cluster.eventQueue();
+    eq.runUntilTime(300 * kMicrosecond);
+
+    const std::uint64_t beacons0 = hp->stats().beacons;
+    const std::size_t nodes = cluster.mnCount() + cluster.cnCount();
+    std::size_t least = eq.pending();
+    const Tick end = eq.now() + cfg.health.suspect_after;
+    while (eq.now() < end) {
+        eq.runUntilTime(eq.now() + kMicrosecond / 2);
+        least = std::min(least, eq.pending());
+    }
+    // Several beacons per node landed inside the lease...
+    EXPECT_GE(hp->stats().beacons - beacons0, 2 * nodes);
+    // ...and left one sweep behind them, not one each.
+    EXPECT_EQ(least, nodes + 1);
+    EXPECT_EQ(hp->stats().suspects, 0u);
 }
 
 TEST(HealthPlane, ZombieMnIsFencedUntilCnsRefreshTheirEpoch)

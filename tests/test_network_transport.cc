@@ -386,6 +386,40 @@ TEST(CNode, CwndGrowsOnGoodRtt)
     EXPECT_GT(cluster.cn(0).cwnd(mn), before);
 }
 
+TEST(CNode, PacedIssuesShareOneRepoll)
+{
+    // Below one request per RTT the CN paces sends through a gate.
+    // Every issue that finds the gate closed waits for the same tick,
+    // so together they need one re-poll event, not one each.
+    auto cfg = ModelConfig::prototype();
+    cfg.clib.cwnd_init = 0.5;
+    cfg.clib.target_rtt = 1; // every RTT sample reads as congestion
+    Cluster cluster(cfg, 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+    // A data-path response samples the RTT, cuts cwnd further and
+    // arms the gate.
+    std::uint64_t v = 0;
+    ASSERT_EQ(client.rread(addr, &v, 8), Status::kOk);
+    ASSERT_EQ(cluster.cn(0).stats().cwnd_decreases, 1u);
+
+    EventQueue &eq = cluster.eventQueue();
+    const std::size_t before = eq.pending();
+    constexpr int kIssues = 8;
+    std::uint64_t bufs[kIssues] = {};
+    std::vector<HandlePtr> handles;
+    for (int i = 0; i < kIssues; i++)
+        handles.push_back(client.rreadAsync(addr + 64 * i, &bufs[i], 8));
+    EXPECT_EQ(eq.pending(), before + 1);
+
+    cluster.run();
+    for (const HandlePtr &h : handles) {
+        EXPECT_TRUE(h->done);
+        EXPECT_EQ(h->status, Status::kOk);
+    }
+}
+
 TEST(CNode, RttHistogramPopulated)
 {
     Cluster cluster(ModelConfig::prototype(), 1, 1);
