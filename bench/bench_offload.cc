@@ -40,7 +40,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -397,79 +396,68 @@ runAccounting()
 void
 writeJson(const std::vector<ChasePoint> &chase,
           const std::vector<DfPoint> &df, const Accounting &acc,
-          std::uint64_t crossover_depth,
-          std::uint64_t crossover_entries, bool smoke)
+          std::uint64_t crossover_depth, std::uint64_t crossover_entries)
 {
-    const char *env = std::getenv("CLIO_BENCH_JSON_OUT");
-    const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_offload.json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"schema\": \"clio.bench_offload.v1\",\n");
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"engines\": %u,\n", acc.engines);
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < chase.size(); i++) {
-        const ChasePoint &p = chase[i];
-        std::fprintf(
-            f,
-            "    {\"sweep\": \"%s\", \"depth\": %llu, "
-            "\"entries\": %llu, \"nodes\": %llu, "
-            "\"chained_us\": %.3f, \"looped_us\": %.3f, "
-            "\"cn_batched_us\": %.3f, \"chained_rtts\": %.2f, "
-            "\"looped_rtts\": %.2f, \"ok\": %s}%s\n",
-            p.sweep.c_str(), static_cast<unsigned long long>(p.depth),
-            static_cast<unsigned long long>(p.entries),
-            static_cast<unsigned long long>(p.nodes), p.chained_us,
-            p.looped_us, p.batched_us, p.chained_rtts, p.looped_rtts,
-            p.ok ? "true" : "false",
-            i + 1 < chase.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"dataframe\": [\n");
-    for (std::size_t i = 0; i < df.size(); i++) {
-        const DfPoint &p = df[i];
-        std::fprintf(
-            f,
-            "    {\"select_pct\": %d, \"rows\": %llu, "
-            "\"chained_us\": %.3f, \"offload_us\": %.3f, "
-            "\"cn_us\": %.3f, \"chained_net_kib\": %.1f, "
-            "\"cn_net_kib\": %.1f, \"ok\": %s}%s\n",
-            p.select_pct, static_cast<unsigned long long>(p.rows),
-            p.chained_us, p.offload_us, p.cn_us, p.chained_net_kib,
-            p.cn_net_kib, p.ok ? "true" : "false",
-            i + 1 < df.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"crossover\": {\"chained_beats_cn_depth\": "
-                 "%llu, \"chained_beats_cn_entries\": %llu},\n",
-                 static_cast<unsigned long long>(crossover_depth),
-                 static_cast<unsigned long long>(crossover_entries));
-    std::fprintf(f, "  \"offloads\": [\n");
-    for (std::size_t i = 0; i < acc.rows.size(); i++) {
-        const OffloadRow &r = acc.rows[i];
-        std::fprintf(
-            f,
-            "    {\"id\": %u, \"name\": \"%s\", \"lut_pct\": %.2f, "
-            "\"bram_pct\": %.2f, \"calls\": %llu, "
-            "\"chain_stages\": %llu, \"busy_us\": %.3f, "
-            "\"energy_mj\": %.6f}%s\n",
-            r.id, r.name.c_str(), r.lut_pct, r.bram_pct,
-            static_cast<unsigned long long>(r.calls),
-            static_cast<unsigned long long>(r.chain_stages), r.busy_us,
-            r.energy_mj, i + 1 < acc.rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"engine_totals\": {\"lut_pct\": %.2f, "
-                 "\"bram_pct\": %.2f, \"busy_us\": %.3f, "
-                 "\"wait_us\": %.3f, \"energy_mj\": %.6f}\n}\n",
-                 acc.total_lut_pct, acc.total_bram_pct,
-                 acc.engine_busy_us, acc.engine_wait_us,
-                 acc.engine_energy_mj);
-    std::fclose(f);
-    bench::note("JSON written to " + path);
+    bench::writeJson("offload", [&](std::FILE *f) {
+        std::fprintf(f, "  \"engines\": %u,\n", acc.engines);
+        std::fprintf(f, "  \"points\": [\n");
+        for (std::size_t i = 0; i < chase.size(); i++) {
+            const ChasePoint &p = chase[i];
+            std::fprintf(
+                f,
+                "    {\"sweep\": \"%s\", \"depth\": %llu, "
+                "\"entries\": %llu, \"nodes\": %llu, "
+                "\"chained_us\": %.3f, \"looped_us\": %.3f, "
+                "\"cn_batched_us\": %.3f, \"chained_rtts\": %.2f, "
+                "\"looped_rtts\": %.2f, \"ok\": %s}%s\n",
+                p.sweep.c_str(), static_cast<unsigned long long>(p.depth),
+                static_cast<unsigned long long>(p.entries),
+                static_cast<unsigned long long>(p.nodes), p.chained_us,
+                p.looped_us, p.batched_us, p.chained_rtts, p.looped_rtts,
+                p.ok ? "true" : "false",
+                i + 1 < chase.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n  \"dataframe\": [\n");
+        for (std::size_t i = 0; i < df.size(); i++) {
+            const DfPoint &p = df[i];
+            std::fprintf(
+                f,
+                "    {\"select_pct\": %d, \"rows\": %llu, "
+                "\"chained_us\": %.3f, \"offload_us\": %.3f, "
+                "\"cn_us\": %.3f, \"chained_net_kib\": %.1f, "
+                "\"cn_net_kib\": %.1f, \"ok\": %s}%s\n",
+                p.select_pct, static_cast<unsigned long long>(p.rows),
+                p.chained_us, p.offload_us, p.cn_us, p.chained_net_kib,
+                p.cn_net_kib, p.ok ? "true" : "false",
+                i + 1 < df.size() ? "," : "");
+        }
+        std::fprintf(f,
+                     "  ],\n  \"crossover\": {\"chained_beats_cn_depth\": "
+                     "%llu, \"chained_beats_cn_entries\": %llu},\n",
+                     static_cast<unsigned long long>(crossover_depth),
+                     static_cast<unsigned long long>(crossover_entries));
+        std::fprintf(f, "  \"offloads\": [\n");
+        for (std::size_t i = 0; i < acc.rows.size(); i++) {
+            const OffloadRow &r = acc.rows[i];
+            std::fprintf(
+                f,
+                "    {\"id\": %u, \"name\": \"%s\", \"lut_pct\": %.2f, "
+                "\"bram_pct\": %.2f, \"calls\": %llu, "
+                "\"chain_stages\": %llu, \"busy_us\": %.3f, "
+                "\"energy_mj\": %.6f}%s\n",
+                r.id, r.name.c_str(), r.lut_pct, r.bram_pct,
+                static_cast<unsigned long long>(r.calls),
+                static_cast<unsigned long long>(r.chain_stages), r.busy_us,
+                r.energy_mj, i + 1 < acc.rows.size() ? "," : "");
+        }
+        std::fprintf(f,
+                     "  ],\n  \"engine_totals\": {\"lut_pct\": %.2f, "
+                     "\"bram_pct\": %.2f, \"busy_us\": %.3f, "
+                     "\"wait_us\": %.3f, \"energy_mj\": %.6f}\n",
+                     acc.total_lut_pct, acc.total_bram_pct,
+                     acc.engine_busy_us, acc.engine_wait_us,
+                     acc.engine_energy_mj);
+    });
 }
 
 } // namespace
@@ -600,7 +588,6 @@ main()
                 "max_chain_depth levels wins, and its lead grows with "
                 "tree size");
 
-    writeJson(chase, df, acc, crossover_depth, crossover_entries,
-              smoke);
+    writeJson(chase, df, acc, crossover_depth, crossover_entries);
     return 0;
 }

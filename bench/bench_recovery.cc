@@ -31,7 +31,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -137,39 +136,29 @@ runRecovery(const std::string &sweep, std::uint64_t chunk_bytes,
 }
 
 void
-writeJson(const std::vector<PointResult> &results, bool smoke)
+writeJson(const std::vector<PointResult> &results)
 {
-    const char *env = std::getenv("CLIO_BENCH_JSON_OUT");
-    const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_recovery.json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"schema\": \"clio.bench_recovery.v1\",\n");
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < results.size(); i++) {
-        const PointResult &r = results[i];
-        std::fprintf(
-            f,
-            "    {\"sweep\": \"%s\", \"chunk_kib\": %llu, "
-            "\"heartbeat_us\": %.1f, \"region_mib\": %llu, "
-            "\"recovered\": %s, \"detect_us\": %.3f, "
-            "\"resync_us\": %.3f, \"mttr_us\": %.3f, "
-            "\"copy_reads\": %llu}%s\n",
-            r.sweep.c_str(),
-            static_cast<unsigned long long>(r.chunk_bytes / KiB),
-            ticksToUs(r.heartbeat_period),
-            static_cast<unsigned long long>(r.region_bytes / MiB),
-            r.recovered ? "true" : "false", r.detect_us, r.resync_us,
-            r.mttr_us, static_cast<unsigned long long>(r.copy_reads),
-            i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    bench::note("JSON written to " + path);
+    bench::writeJson("recovery", [&](std::FILE *f) {
+        std::fprintf(f, "  \"points\": [\n");
+        for (std::size_t i = 0; i < results.size(); i++) {
+            const PointResult &r = results[i];
+            std::fprintf(
+                f,
+                "    {\"sweep\": \"%s\", \"chunk_kib\": %llu, "
+                "\"heartbeat_us\": %.1f, \"region_mib\": %llu, "
+                "\"recovered\": %s, \"detect_us\": %.3f, "
+                "\"resync_us\": %.3f, \"mttr_us\": %.3f, "
+                "\"copy_reads\": %llu}%s\n",
+                r.sweep.c_str(),
+                static_cast<unsigned long long>(r.chunk_bytes / KiB),
+                ticksToUs(r.heartbeat_period),
+                static_cast<unsigned long long>(r.region_bytes / MiB),
+                r.recovered ? "true" : "false", r.detect_us, r.resync_us,
+                r.mttr_us, static_cast<unsigned long long>(r.copy_reads),
+                i + 1 < results.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]\n");
+    });
 }
 
 } // namespace
@@ -236,6 +225,6 @@ main()
     bench::note("detection tracks the lease (~dead_after); the copy "
                 "scales with region size and chunking overhead");
 
-    writeJson(results, smoke);
+    writeJson(results);
     return 0;
 }

@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -161,16 +160,8 @@ runRdma(PointResult &r)
 }
 
 void
-writeJson(const std::vector<PointResult> &results, bool smoke)
+writeJson(const std::vector<PointResult> &results)
 {
-    const char *env = std::getenv("CLIO_BENCH_JSON_OUT");
-    const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_scaleout.json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
     double p50_min = 0.0, p50_max = 0.0;
     for (const PointResult &r : results) {
         if (p50_min == 0.0 || r.clio_p50_us < p50_min)
@@ -178,29 +169,27 @@ writeJson(const std::vector<PointResult> &results, bool smoke)
         if (r.clio_p50_us > p50_max)
             p50_max = r.clio_p50_us;
     }
-    std::fprintf(f, "{\n  \"schema\": \"clio.bench_scaleout.v1\",\n");
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < results.size(); i++) {
-        const PointResult &r = results[i];
-        std::fprintf(
-            f,
-            "    {\"procs\": %u, \"racks\": %u, \"issuers\": %u, "
-            "\"ops\": %llu, \"clio_p50_us\": %.3f, \"clio_p99_us\": "
-            "%.3f, \"clio_mean_us\": %.3f, \"rdma_p50_us\": %.3f, "
-            "\"rdma_mean_us\": %.3f, \"cross_rack_packets\": %llu}%s\n",
-            r.point.procs, r.point.racks, r.issuers,
-            static_cast<unsigned long long>(r.ops), r.clio_p50_us,
-            r.clio_p99_us, r.clio_mean_us, r.rdma_p50_us,
-            r.rdma_mean_us,
-            static_cast<unsigned long long>(r.cross_rack),
-            i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"clio_p50_max_over_min\": %.3f\n}\n",
-                 p50_min > 0.0 ? p50_max / p50_min : 0.0);
-    std::fclose(f);
-    bench::note("JSON written to " + path);
+    bench::writeJson("scaleout", [&](std::FILE *f) {
+        std::fprintf(f, "  \"points\": [\n");
+        for (std::size_t i = 0; i < results.size(); i++) {
+            const PointResult &r = results[i];
+            std::fprintf(
+                f,
+                "    {\"procs\": %u, \"racks\": %u, \"issuers\": %u, "
+                "\"ops\": %llu, \"clio_p50_us\": %.3f, \"clio_p99_us\": "
+                "%.3f, \"clio_mean_us\": %.3f, \"rdma_p50_us\": %.3f, "
+                "\"rdma_mean_us\": %.3f, \"cross_rack_packets\": %llu}%s\n",
+                r.point.procs, r.point.racks, r.issuers,
+                static_cast<unsigned long long>(r.ops), r.clio_p50_us,
+                r.clio_p99_us, r.clio_mean_us, r.rdma_p50_us,
+                r.rdma_mean_us,
+                static_cast<unsigned long long>(r.cross_rack),
+                i + 1 < results.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n");
+        std::fprintf(f, "  \"clio_p50_max_over_min\": %.3f\n",
+                     p50_min > 0.0 ? p50_max / p50_min : 0.0);
+    });
 }
 
 } // namespace
@@ -238,7 +227,7 @@ main()
                     r.clio_p99_us, r.rdma_p50_us, r.rdma_mean_us});
     }
 
-    writeJson(results, bench::smokeMode());
+    writeJson(results);
     bench::note("expected shape: Clio p50 flat (connection-less, "
                 "rack-local shard placement) while RDMA rises as QPC "
                 "and MTT caches thrash (paper Fig. 4 at cluster "

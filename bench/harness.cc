@@ -55,4 +55,26 @@ note(const std::string &text)
     std::printf("  -- %s\n", text.c_str());
 }
 
+void
+writeJson(const std::string &name,
+          const std::function<void(std::FILE *)> &body)
+{
+    const char *env = std::getenv("CLIO_BENCH_JSON_OUT");
+    const std::string path = env != nullptr && *env != '\0'
+                                 ? env
+                                 : "BENCH_" + name + ".json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return;
+    }
+    std::fprintf(f, "{\n  \"schema\": \"clio.bench_%s.v1\",\n",
+                 name.c_str());
+    std::fprintf(f, "  \"smoke\": %s,\n", smokeMode() ? "true" : "false");
+    body(f);
+    std::fprintf(f, "}\n");
+    std::fclose(f);
+    note("JSON written to " + path);
+}
+
 } // namespace clio::bench

@@ -11,6 +11,7 @@
 #define CLIO_BENCH_HARNESS_HH
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,15 @@ std::uint64_t iters(std::uint64_t full);
 
 /** True when the reduced-iteration smoke mode is active. */
 bool smokeMode();
+
+/**
+ * Write bench `name`'s JSON to the file CLIO_BENCH_JSON_OUT names
+ * (default BENCH_<name>.json): the "clio.bench_<name>.v1" schema and
+ * smoke-mode header, then `body`'s fields, then the closing brace.
+ * Prints a note naming the file, or an error when it cannot be opened.
+ */
+void writeJson(const std::string &name,
+               const std::function<void(std::FILE *)> &body);
 
 } // namespace clio::bench
 

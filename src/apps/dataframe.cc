@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "clib/queue.hh"
 #include "sim/logging.hh"
 
 namespace clio {
@@ -183,9 +184,10 @@ ClioDataFrame::load(const std::vector<std::uint8_t> &col_a,
     if (!col_a_ || !col_b_ || !scratch_)
         return false;
     // Upload both columns in one doorbell.
-    return client_.rwritev({{col_a_, col_a.data(), rows_},
-                            {col_b_, col_b.data(), rows_ * 8}}) ==
-           Status::kOk;
+    SubmissionBatch batch(client_);
+    batch.write(col_a_, col_a.data(), rows_);
+    batch.write(col_b_, col_b.data(), rows_ * 8);
+    return batch.submitAndWait().ok();
 }
 
 void
@@ -313,9 +315,10 @@ ClioDataFrame::runAtCn(std::uint8_t match)
     // select, aggregate, and histogram locally.
     std::vector<std::uint8_t> col_a(rows_);
     std::vector<std::int64_t> col_b(rows_);
-    if (client_.rreadv({{col_a_, col_a.data(), rows_},
-                        {col_b_, col_b.data(), rows_ * 8}}) !=
-        Status::kOk)
+    SubmissionBatch batch(client_);
+    batch.read(col_a_, col_a.data(), rows_);
+    batch.read(col_b_, col_b.data(), rows_ * 8);
+    if (!batch.submitAndWait().ok())
         return out;
     out.net_bytes += rows_ * 9;
 

@@ -298,12 +298,22 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
                             "clio-kv: slab allocation failed",
                             Status::kOutOfMemory);
     }
-    // From here on a failing put hands its fresh block back.
+    // From here on a failing put hands its fresh block (and a new slot
+    // it has not linked) back.
+    std::uint64_t new_slot_addr = 0;
+    const auto fail = [&](const char *what) {
+        freeBlock(block, block_len);
+        if (new_slot_addr)
+            freeBlock(new_slot_addr, kSlotBytes);
+        return offloadError(OffloadErrc::kBadAddress,
+                            std::string("clio-kv: ") + what + " faulted");
+    };
     std::uint32_t lens[2] = {static_cast<std::uint32_t>(key.size()),
                              static_cast<std::uint32_t>(value.size())};
-    vm.write(block, lens, 8);
-    vm.write(block + 8, key.data(), key.size());
-    vm.write(block + 8 + key.size(), value.data(), value.size());
+    if (!vm.write(block, lens, 8) ||
+        !vm.write(block + 8, key.data(), key.size()) ||
+        !vm.write(block + 8 + key.size(), value.data(), value.size()))
+        return fail("block write");
 
     std::uint64_t head = vm.read64(head_addr).value_or(0);
     std::uint64_t cursor = head;
@@ -312,11 +322,8 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
     int free_index = -1;
     while (cursor) {
         Slot slot;
-        if (!readSlot(vm, cursor, slot)) {
-            freeBlock(block, block_len);
-            return offloadError(OffloadErrc::kBadAddress,
-                                "clio-kv: slot read faulted");
-        }
+        if (!readSlot(vm, cursor, slot))
+            return fail("slot read");
         for (int i = 0; i < static_cast<int>(kEntriesPerSlot); i++) {
             Entry &entry = slot.entries[i];
             if (entry.fp == h && entry.addr != 0) {
@@ -326,7 +333,8 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
                     // Overwrite: pointer flip to the new block. Then
                     // nothing points at the old one.
                     entry.addr = block;
-                    vm.write(cursor + 8 + i * 16, &entry, 16);
+                    if (!vm.write(cursor + 8 + i * 16, &entry, 16))
+                        return fail("entry flip");
                     freeBlock(old_addr, old_len);
                     return res;
                 }
@@ -342,11 +350,12 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
 
     Entry entry{h, block};
     if (free_index >= 0) {
-        vm.write(free_slot + 8 + free_index * 16, &entry, 16);
+        if (!vm.write(free_slot + 8 + free_index * 16, &entry, 16))
+            return fail("entry fill");
         return res;
     }
     // All slots full (or bucket empty): allocate and link a new slot.
-    const std::uint64_t new_slot_addr = slabAlloc(vm, kSlotBytes);
+    new_slot_addr = slabAlloc(vm, kSlotBytes);
     if (!new_slot_addr) {
         freeBlock(block, block_len);
         return offloadError(OffloadErrc::kAllocFailed,
@@ -355,12 +364,11 @@ ClioKvOffload::put(OffloadVm &vm, const std::string &key,
     }
     Slot fresh{};
     fresh.entries[0] = entry;
-    writeSlot(vm, new_slot_addr, fresh);
-    if (last_slot) {
-        vm.write64(last_slot, new_slot_addr); // link from chain tail
-    } else {
-        vm.write64(head_addr, new_slot_addr); // first slot of bucket
-    }
+    if (!writeSlot(vm, new_slot_addr, fresh))
+        return fail("new slot write");
+    // Link from the chain tail, or as the bucket's first slot.
+    if (!vm.write64(last_slot ? last_slot : head_addr, new_slot_addr))
+        return fail("chain link");
     return res;
 }
 

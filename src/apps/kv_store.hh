@@ -21,7 +21,10 @@
  * the block's size comes from the {klen, vlen} header the key compare
  * already read. On-chip state is finite, so the stacks hold at most
  * kMaxFreeBlocks addresses in total; a free that finds them full
- * leaves the block unreclaimed and counts it. Slots are never freed.
+ * leaves the block unreclaimed and counts it. A linked slot is never
+ * freed. A put checks every write it makes; one that faults (say, on a
+ * slab page the MN could not back) fails the put with kBadAddress and
+ * hands back the block and any slot the put has not linked.
  *
  * A CN-side partitioner (ClioKvClient) spreads keys across MNs; all
  * requests for one partition go to the same MN, whose ordered

@@ -12,6 +12,21 @@ namespace {
 /** Page size used for dependency tracking; must match the MN page
  * size for exactness but only affects false-positive granularity. */
 constexpr std::uint64_t kTrackPage = 4 * MiB;
+
+/** A finished offload's handle as rcall's result: the reply, or the
+ * status with the offload's error code and message. */
+Result<OffloadReply>
+offloadReply(RequestHandle &h)
+{
+    if (h.status != Status::kOk)
+        return Result<OffloadReply>(
+            h.status, h.err_code, std::string(h.data.begin(), h.data.end()));
+    OffloadReply reply;
+    reply.value = h.value;
+    reply.data = std::move(h.data);
+    reply.stages = std::move(h.stages);
+    return reply;
+}
 } // namespace
 
 ClioClient::ClioClient(CNode &cn, ProcId pid, NodeId home_mn,
@@ -101,27 +116,23 @@ ClioClient::span(VirtAddr addr, std::uint64_t len, bool is_write)
                      is_write, false};
 }
 
-std::shared_ptr<RequestMsg>
-ClioClient::newRequest(MsgType type, NodeId dst)
+ClioClient::Op
+ClioClient::newOp(MsgType type, NodeId dst, Footprint fp)
 {
-    auto req = cn_.requestPool().acquire();
-    req->type = type;
-    req->pid = pid_;
-    req->dst = dst;
-    return req;
+    Op op;
+    op.fp = fp;
+    op.req = cn_.requestPool().acquire();
+    op.req->type = type;
+    op.req->pid = pid_;
+    op.req->dst = dst;
+    return op;
 }
 
 HandlePtr
-ClioClient::submit(std::shared_ptr<RequestMsg> req, Footprint fp,
-                   std::uint64_t expected_resp_bytes, void *read_buf)
+ClioClient::admit(Op op)
 {
-    Op op;
     op.op_seq = next_op_seq_++;
-    op.fp = fp;
     op.handle = cn_.handlePool().acquire();
-    op.req = std::move(req);
-    op.expected_resp_bytes = expected_resp_bytes;
-    op.read_buf = read_buf;
     HandlePtr handle = op.handle;
     // Blocked iff it conflicts with a queued or inflight op.
     // Independent ops may overtake the queue (release order allows
@@ -256,6 +267,91 @@ ClioClient::drainPending()
 }
 
 // ---------------------------------------------------------------------
+// Request builders
+// ---------------------------------------------------------------------
+
+ClioClient::Op
+ClioClient::buildAlloc(std::uint64_t size, std::uint8_t perm, bool populate,
+                       NodeId mn_override)
+{
+    stats_.allocs++;
+    const NodeId mn = mn_override != kNoNode
+                          ? mn_override
+                          : (alloc_picker_ ? alloc_picker_(size)
+                                           : home_mn_);
+    Op op = newOp(MsgType::kAlloc, mn, Footprint{}); // fresh VAs
+    op.req->size = size;
+    op.req->perm = perm;
+    op.req->populate = populate;
+    return op;
+}
+
+ClioClient::Op
+ClioClient::buildFree(VirtAddr addr)
+{
+    stats_.frees++;
+    std::uint64_t size = kTrackPage;
+    auto it = regionAt(addr);
+    if (it != regions_.end() && it->start == addr && it->is_alloc)
+        size = it->length;
+    // A free conflicts with any access to the freed range (§3.1: no
+    // read/write may start until the rfree finishes).
+    Op op = newOp(MsgType::kFree, mnFor(addr), span(addr, size, true));
+    op.req->addr = addr;
+    return op;
+}
+
+ClioClient::Op
+ClioClient::buildRead(VirtAddr addr, void *buf, std::uint64_t len)
+{
+    stats_.reads++;
+    Op op = newOp(MsgType::kRead, mnFor(addr), span(addr, len, false));
+    op.req->addr = addr;
+    op.req->size = len;
+    op.expected_resp_bytes = len;
+    op.read_buf = buf;
+    return op;
+}
+
+ClioClient::Op
+ClioClient::buildWrite(VirtAddr addr, const void *src, std::uint64_t len,
+                       ReqId orig_req_id)
+{
+    stats_.writes++;
+    Op op = newOp(MsgType::kWrite, mnFor(addr), span(addr, len, true));
+    op.req->orig_req_id = orig_req_id;
+    op.req->addr = addr;
+    op.req->size = len;
+    // Copied into the pooled message, which keeps its capacity.
+    const auto *bytes = static_cast<const std::uint8_t *>(src);
+    op.req->data.assign(bytes, bytes + len);
+    return op;
+}
+
+ClioClient::Op
+ClioClient::buildAtomic(VirtAddr addr, AtomicOp aop, std::uint64_t arg0,
+                        std::uint64_t arg1)
+{
+    stats_.atomics++;
+    // Ordered at the page of its first byte.
+    Op op = newOp(MsgType::kAtomic, mnFor(addr), span(addr, 1, true));
+    op.req->addr = addr;
+    op.req->size = 8;
+    op.req->aop = aop;
+    op.req->arg0 = arg0;
+    op.req->arg1 = arg1;
+    return op;
+}
+
+ClioClient::Op
+ClioClient::buildFence()
+{
+    stats_.fences++;
+    return newOp(MsgType::kFence, home_mn_,
+                 Footprint{0, ~0ull, true, true}); // full barrier
+}
+
+// ---------------------------------------------------------------------
 // Asynchronous API
 // ---------------------------------------------------------------------
 
@@ -263,88 +359,39 @@ HandlePtr
 ClioClient::rallocAsync(std::uint64_t size, std::uint8_t perm,
                         bool populate, NodeId mn_override)
 {
-    stats_.allocs++;
-    const NodeId mn = mn_override != kNoNode
-                          ? mn_override
-                          : (alloc_picker_ ? alloc_picker_(size)
-                                           : home_mn_);
-    auto req = newRequest(MsgType::kAlloc, mn);
-    req->size = size;
-    req->perm = perm;
-    req->populate = populate;
-    // Fresh VAs: no conflicts.
-    return submit(std::move(req), Footprint{0, 0, false, false});
+    return admit(buildAlloc(size, perm, populate, mn_override));
 }
 
 HandlePtr
 ClioClient::rfreeAsync(VirtAddr addr)
 {
-    stats_.frees++;
-    auto req = newRequest(MsgType::kFree, mnFor(addr));
-    req->addr = addr;
-    std::uint64_t size = kTrackPage;
-    auto it = regionAt(addr);
-    if (it != regions_.end() && it->start == addr && it->is_alloc)
-        size = it->length;
-    // A free conflicts with any access to the freed range (§3.1: no
-    // read/write may start until the rfree finishes).
-    return submit(std::move(req), span(addr, size, true));
+    return admit(buildFree(addr));
 }
 
 HandlePtr
 ClioClient::rreadAsync(VirtAddr addr, void *buf, std::uint64_t len)
 {
-    stats_.reads++;
-    auto req = newRequest(MsgType::kRead, mnFor(addr));
-    req->addr = addr;
-    req->size = len;
-    return submit(std::move(req), span(addr, len, false), len, buf);
+    return admit(buildRead(addr, buf, len));
 }
 
 HandlePtr
-ClioClient::rwriteAsync(VirtAddr addr, const void *src, std::uint64_t len)
-{
-    std::vector<std::uint8_t> data(
-        static_cast<const std::uint8_t *>(src),
-        static_cast<const std::uint8_t *>(src) + len);
-    return rwriteAsync(addr, std::move(data));
-}
-
-HandlePtr
-ClioClient::rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data,
+ClioClient::rwriteAsync(VirtAddr addr, const void *src, std::uint64_t len,
                         ReqId orig_req_id)
 {
-    stats_.writes++;
-    const std::uint64_t len = data.size();
-    auto req = newRequest(MsgType::kWrite, mnFor(addr));
-    req->orig_req_id = orig_req_id;
-    req->addr = addr;
-    req->size = len;
-    req->data = std::move(data);
-    return submit(std::move(req), span(addr, len, true));
+    return admit(buildWrite(addr, src, len, orig_req_id));
 }
 
 HandlePtr
 ClioClient::atomicAsync(VirtAddr addr, AtomicOp aop, std::uint64_t arg0,
                         std::uint64_t arg1)
 {
-    stats_.atomics++;
-    auto req = newRequest(MsgType::kAtomic, mnFor(addr));
-    req->addr = addr;
-    req->size = 8;
-    req->aop = aop;
-    req->arg0 = arg0;
-    req->arg1 = arg1;
-    // Ordered at the page of its first byte.
-    return submit(std::move(req), span(addr, 1, true));
+    return admit(buildAtomic(addr, aop, arg0, arg1));
 }
 
 HandlePtr
 ClioClient::fenceAsync()
 {
-    stats_.fences++;
-    return submit(newRequest(MsgType::kFence, home_mn_),
-                  Footprint{0, ~0ull, true, true}); // full barrier
+    return admit(buildFence());
 }
 
 HandlePtr
@@ -353,13 +400,13 @@ ClioClient::offloadAsync(NodeId mn, std::uint32_t offload_id,
                          std::uint64_t expected_resp_bytes)
 {
     stats_.offloads++;
-    auto req = newRequest(MsgType::kOffload, mn);
-    req->offload_id = offload_id;
-    req->offload_arg = std::move(arg);
     // Offloads act on the offload's own RAS; apps order them with
     // rpoll when needed.
-    return submit(std::move(req), Footprint{0, 0, false, false},
-                  expected_resp_bytes);
+    Op op = newOp(MsgType::kOffload, mn, Footprint{});
+    op.req->offload_id = offload_id;
+    op.req->offload_arg = std::move(arg);
+    op.expected_resp_bytes = expected_resp_bytes;
+    return admit(std::move(op));
 }
 
 HandlePtr
@@ -368,33 +415,32 @@ ClioClient::rcallChainAsync(NodeId mn, const ChainPlan &plan,
 {
     stats_.offloads++;
     stats_.offload_chains++;
-    auto req = newRequest(MsgType::kOffload, mn);
-    req->chain = plan.stages();
-    req->chain_per_stage = plan.perStage();
     // Like single offloads: chains act on offload address spaces.
-    return submit(std::move(req), Footprint{0, 0, false, false},
-                  expected_resp_bytes);
-}
-
-bool
-ClioClient::rpoll(const std::vector<HandlePtr> &handles)
-{
-    auto all_done = [&handles] {
-        return std::all_of(handles.begin(), handles.end(),
-                           [](const HandlePtr &h) { return h->done; });
-    };
-    const bool ok = cn_.eventQueue().runUntil(all_done);
-    clio_assert(ok, "rpoll: simulation drained with requests pending");
-    return std::all_of(handles.begin(), handles.end(),
-                       [](const HandlePtr &h) {
-                           return h->status == Status::kOk;
-                       });
+    Op op = newOp(MsgType::kOffload, mn, Footprint{});
+    op.req->chain = plan.stages();
+    op.req->chain_per_stage = plan.perStage();
+    op.expected_resp_bytes = expected_resp_bytes;
+    return admit(std::move(op));
 }
 
 bool
 ClioClient::rpoll(const HandlePtr &handle)
 {
-    return rpoll(std::vector<HandlePtr>{handle});
+    const bool ok =
+        cn_.eventQueue().runUntil([&handle] { return handle->done; });
+    clio_assert(ok, "rpoll: simulation drained with requests pending");
+    return handle->status == Status::kOk;
+}
+
+bool
+ClioClient::rpoll(const std::vector<HandlePtr> &handles)
+{
+    // Waiting on each in turn stops after the event that completes the
+    // last one, as a wait on all of them would.
+    bool ok = true;
+    for (const HandlePtr &h : handles)
+        ok = rpoll(h) && ok;
+    return ok;
 }
 
 void
@@ -449,24 +495,6 @@ ClioClient::rfaa(VirtAddr addr, std::uint64_t add)
     return h->result();
 }
 
-Status
-ClioClient::rreadv(const std::vector<ReadSeg> &segs)
-{
-    SubmissionBatch batch(*this);
-    for (const ReadSeg &seg : segs)
-        batch.read(seg.addr, seg.buf, seg.len);
-    return batch.submitAndWait().status;
-}
-
-Status
-ClioClient::rwritev(const std::vector<WriteSeg> &segs)
-{
-    SubmissionBatch batch(*this);
-    for (const WriteSeg &seg : segs)
-        batch.write(seg.addr, seg.src, seg.len);
-    return batch.submitAndWait().status;
-}
-
 bool
 ClioClient::rlock(VirtAddr lock_addr, std::uint32_t max_spins)
 {
@@ -508,14 +536,7 @@ ClioClient::rcall(NodeId mn, std::uint32_t offload_id,
     auto h = offloadAsync(mn, offload_id, std::move(arg),
                           expected_resp_bytes);
     rpoll(h);
-    if (h->status != Status::kOk)
-        return Result<OffloadReply>(
-            h->status, h->err_code,
-            std::string(h->data.begin(), h->data.end()));
-    OffloadReply reply;
-    reply.value = h->value;
-    reply.data = std::move(h->data);
-    return reply;
+    return offloadReply(*h);
 }
 
 Result<OffloadReply>
@@ -532,15 +553,7 @@ ClioClient::rcall_chain(NodeId mn, const ChainPlan &plan,
     }
     auto h = rcallChainAsync(mn, plan, expected_resp_bytes);
     rpoll(h);
-    if (h->status != Status::kOk)
-        return Result<OffloadReply>(
-            h->status, h->err_code,
-            std::string(h->data.begin(), h->data.end()));
-    OffloadReply reply;
-    reply.value = h->value;
-    reply.data = std::move(h->data);
-    reply.stages = std::move(h->stages);
-    return reply;
+    return offloadReply(*h);
 }
 
 } // namespace clio

@@ -17,7 +17,9 @@
  *    doorbell and a CompletionQueue delivers their completions in
  *    completion order (queue.hh) — the io_uring/verbs SQ/CQ idiom;
  *  - raw async handles + rpoll, the low-level path the other two are
- *    built on (and what tests use to pin ordering semantics).
+ *    built on (and what tests use to pin ordering semantics). An async
+ *    call and a staged batch op build their request with the same
+ *    per-kind builder and admit it to the same ordering layer.
  *
  * Synchronous calls pump the cluster's event queue until completion,
  * which lets single-threaded application code drive the simulation
@@ -112,24 +114,6 @@ struct RequestHandle
 
 using HandlePtr = std::shared_ptr<RequestHandle>;
 
-/** One segment of a vectored read (buffer must outlive completion). */
-struct ReadSeg
-{
-    VirtAddr addr = 0;
-    void *buf = nullptr;
-    std::uint64_t len = 0;
-};
-
-/** One segment of a vectored write (the payload is copied when the
- * segment is staged, so the source only needs to live through the
- * rwritev/SubmissionBatch::write call itself). */
-struct WriteSeg
-{
-    VirtAddr addr = 0;
-    const void *src = nullptr;
-    std::uint64_t len = 0;
-};
-
 /** Reply of a synchronous offload invocation (extend path, §4.6). */
 struct OffloadReply
 {
@@ -213,12 +197,10 @@ class ClioClient
                           NodeId mn_override = kNoNode);
     HandlePtr rfreeAsync(VirtAddr addr);
     HandlePtr rreadAsync(VirtAddr addr, void *buf, std::uint64_t len);
+    /** The payload is copied before the call returns. Of all writes
+     * with one nonzero `orig_req_id` (CNode::newReqId()), one runs. */
     HandlePtr rwriteAsync(VirtAddr addr, const void *src,
-                          std::uint64_t len);
-    /** Write overload taking ownership of the payload (no copy). Of
-     * all writes with one `orig_req_id` (CNode::newReqId()), one runs. */
-    HandlePtr rwriteAsync(VirtAddr addr, std::vector<std::uint8_t> data,
-                          ReqId orig_req_id = 0);
+                          std::uint64_t len, ReqId orig_req_id = 0);
     HandlePtr atomicAsync(VirtAddr addr, AtomicOp op,
                           std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
     HandlePtr fenceAsync();
@@ -249,14 +231,6 @@ class ClioClient
     Status rwrite(VirtAddr addr, const void *src, std::uint64_t len);
     /** Atomic fetch-add on a remote 64-bit word. */
     Result<std::uint64_t> rfaa(VirtAddr addr, std::uint64_t add);
-    /** @} */
-
-    /** @{ Vectored API: all segments admitted in one doorbell (the
-     * ordering layer still serializes conflicting segments), then
-     * completed together. @return first failing status, kOk if all
-     * succeeded. */
-    Status rreadv(const std::vector<ReadSeg> &segs);
-    Status rwritev(const std::vector<WriteSeg> &segs);
     /** @} */
 
     /** @{ Synchronization primitives (§3.1), MN-executed (T3). */
@@ -298,6 +272,8 @@ class ClioClient
     };
     static_assert(std::is_trivially_copyable_v<Footprint>);
 
+    /** A request on its way through T2: built by newOp and a builder,
+     * given its sequence number and handle by admit(). */
     struct Op
     {
         std::uint64_t op_seq = 0;
@@ -335,14 +311,26 @@ class ClioClient
     /** Footprint of a `len`-byte access at `addr`. */
     static Footprint span(VirtAddr addr, std::uint64_t len, bool is_write);
 
-    /** A pooled request of `type` from this process, bound for `dst`. */
-    std::shared_ptr<RequestMsg> newRequest(MsgType type, NodeId dst);
+    /** An op around a pooled request of `type` from this process,
+     * bound for `dst`, with T2 footprint `fp`. */
+    Op newOp(MsgType type, NodeId dst, Footprint fp);
 
-    /** Wrap `req` in an op and admit it: issue now or queue behind
-     * conflicting ones (T2). */
-    HandlePtr submit(std::shared_ptr<RequestMsg> req, Footprint fp,
-                     std::uint64_t expected_resp_bytes = 0,
-                     void *read_buf = nullptr);
+    /** @{ One builder per kind that SubmissionBatch stages; the async
+     * calls admit what they build. Each counts its kind in stats_ and
+     * does no I/O; a write's source need only live through the build. */
+    Op buildAlloc(std::uint64_t size, std::uint8_t perm, bool populate,
+                  NodeId mn_override);
+    Op buildFree(VirtAddr addr);
+    Op buildRead(VirtAddr addr, void *buf, std::uint64_t len);
+    Op buildWrite(VirtAddr addr, const void *src, std::uint64_t len,
+                  ReqId orig_req_id);
+    Op buildAtomic(VirtAddr addr, AtomicOp aop, std::uint64_t arg0,
+                   std::uint64_t arg1);
+    Op buildFence();
+    /** @} */
+
+    /** Issue a built op now or queue it behind conflicting ones (T2). */
+    HandlePtr admit(Op op);
     void issueNow(Op op);
     void onComplete(std::uint64_t op_seq, const ResponseMsg &resp);
     void drainPending();

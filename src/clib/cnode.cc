@@ -146,11 +146,11 @@ CNode::trySend(NodeId mn)
                 return;
             }
         }
+        // A queued id stays indexed until it is transmitted; crash()
+        // clears the queues and the index together.
         const std::uint32_t slot = out_index_.find(wait.front());
-        if (slot == out_index_.kNone) {
-            wait.pop_front(); // cancelled/stale
-            continue;
-        }
+        clio_assert(slot != out_index_.kNone, "queued request %llu unindexed",
+                    static_cast<unsigned long long>(wait.front()));
         Outstanding &out = out_slots_[slot];
         // Incast window: bound expected response bytes (always admit
         // at least one request so big reads are not starved).

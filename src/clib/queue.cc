@@ -93,88 +93,59 @@ CompletionQueue::rpoll_cq(std::size_t max_n)
 // SubmissionBatch
 // ---------------------------------------------------------------------
 
+ClioClient &
+SubmissionBatch::client()
+{
+    clio_assert(client_ != nullptr, "staging on an empty batch");
+    return *client_;
+}
+
+std::size_t
+SubmissionBatch::stage(ClioClient::Op op)
+{
+    ops_.push_back(std::move(op));
+    return ops_.size() - 1;
+}
+
 std::size_t
 SubmissionBatch::read(VirtAddr addr, void *buf, std::uint64_t len)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back(
-        [c, addr, buf, len] { return c->rreadAsync(addr, buf, len); });
-    return ops_.size() - 1;
+    return stage(client().buildRead(addr, buf, len));
 }
 
 std::size_t
 SubmissionBatch::write(VirtAddr addr, const void *src, std::uint64_t len,
                        ReqId orig_req_id)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    // Copy the payload now: the source may be gone by submit() time
-    // (e.g. an actor's stack frame when the runner submits the step).
-    // The staged copy is then moved into the request — one copy total.
-    std::vector<std::uint8_t> data(
-        static_cast<const std::uint8_t *>(src),
-        static_cast<const std::uint8_t *>(src) + len);
-    ops_.push_back([c, addr, data = std::move(data), orig_req_id]() mutable {
-        return c->rwriteAsync(addr, std::move(data), orig_req_id);
-    });
-    return ops_.size() - 1;
+    // The payload is copied now: the source may be gone by submit()
+    // time (e.g. an actor's stack frame when the runner submits).
+    return stage(client().buildWrite(addr, src, len, orig_req_id));
 }
 
 std::size_t
 SubmissionBatch::alloc(std::uint64_t size, std::uint8_t perm,
                        bool populate, NodeId mn_override)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, size, perm, populate, mn_override] {
-        return c->rallocAsync(size, perm, populate, mn_override);
-    });
-    return ops_.size() - 1;
+    return stage(client().buildAlloc(size, perm, populate, mn_override));
 }
 
 std::size_t
 SubmissionBatch::free(VirtAddr addr)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, addr] { return c->rfreeAsync(addr); });
-    return ops_.size() - 1;
+    return stage(client().buildFree(addr));
 }
 
 std::size_t
 SubmissionBatch::atomic(VirtAddr addr, AtomicOp op, std::uint64_t arg0,
                         std::uint64_t arg1)
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, addr, op, arg0, arg1] {
-        return c->atomicAsync(addr, op, arg0, arg1);
-    });
-    return ops_.size() - 1;
+    return stage(client().buildAtomic(addr, op, arg0, arg1));
 }
 
 std::size_t
 SubmissionBatch::fence()
 {
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c] { return c->fenceAsync(); });
-    return ops_.size() - 1;
-}
-
-std::size_t
-SubmissionBatch::offload(NodeId mn, std::uint32_t offload_id,
-                         std::vector<std::uint8_t> arg,
-                         std::uint64_t expected_resp_bytes)
-{
-    clio_assert(client_ != nullptr, "staging on an empty batch");
-    ClioClient *c = client_;
-    ops_.push_back([c, mn, offload_id, arg = std::move(arg),
-                    expected_resp_bytes] {
-        return c->offloadAsync(mn, offload_id, arg, expected_resp_bytes);
-    });
-    return ops_.size() - 1;
+    return stage(client().buildFence());
 }
 
 void
@@ -187,8 +158,8 @@ SubmissionBatch::submit(CompletionQueue &cq, std::uint64_t base_tag,
     client_->stats_.batches++;
     client_->stats_.batched_ops += ops_.size();
     std::uint64_t tag = base_tag;
-    for (auto &stage : ops_) {
-        cq.watch(stage(), tag);
+    for (ClioClient::Op &op : ops_) {
+        cq.watch(client_->admit(std::move(op)), tag);
         tag += tag_stride;
     }
     ops_.clear();

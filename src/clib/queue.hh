@@ -134,10 +134,12 @@ class CompletionQueue
 };
 
 /**
- * Stages N requests and submits them in one doorbell. Staging does no
- * I/O: write payloads are copied at staging time, but read buffers
- * must outlive completion. A batch is single-use — stage, submit,
- * discard.
+ * Stages N requests and submits them in one doorbell. Staging builds
+ * each request with the client's builder for its kind (the one the
+ * async call uses) but does no I/O: write payloads are copied at
+ * staging time, but read buffers must outlive completion. A batch is
+ * single-use — stage, submit, discard — and a staged op counts in the
+ * client's stats even if the batch is never submitted.
  */
 class SubmissionBatch
 {
@@ -164,9 +166,6 @@ class SubmissionBatch
     std::size_t atomic(VirtAddr addr, AtomicOp op,
                        std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
     std::size_t fence();
-    std::size_t offload(NodeId mn, std::uint32_t offload_id,
-                        std::vector<std::uint8_t> arg,
-                        std::uint64_t expected_resp_bytes = 256);
     /** @} */
 
     std::size_t size() const { return ops_.size(); }
@@ -194,9 +193,14 @@ class SubmissionBatch
     Outcome submitAndWait();
 
   private:
+    /** The client, asserting the batch is not an empty shell. */
+    ClioClient &client();
+    /** Append a built op. @return its index. */
+    std::size_t stage(ClioClient::Op op);
+
     ClioClient *client_ = nullptr;
-    /** Deferred async calls, run in staging order at submit(). */
-    std::vector<std::function<HandlePtr()>> ops_;
+    /** Built ops, admitted in staging order at submit(). */
+    std::vector<ClioClient::Op> ops_;
     bool submitted_ = false;
 };
 

@@ -251,10 +251,9 @@ TEST(KvEdge, FullFreeStacksCountDrops)
 TEST(KvEdge, FailedPutReturnsItsBlock)
 {
     // On an 8 MiB board the bucket array and the first slab take every
-    // frame, so later slabs are never backed. One bucket chains all
-    // keys; once its second slot sits on such a slab, a put faults
-    // reading the chain after it took its block. It must hand the block
-    // back, so repeated failing puts carve nothing.
+    // frame, so later slabs are never backed. Once a put's block sits
+    // on such a slab, the put faults writing it after it took it. It
+    // must hand the block back, so repeated failing puts carve nothing.
     KvDev kv(1, 8 * MiB);
     const std::string value(1 * MiB, 'x');
     int k = 0;
@@ -268,6 +267,25 @@ TEST(KvEdge, FailedPutReturnsItsBlock)
         EXPECT_EQ(kv.kv->freeBlocks(), 1u);
     }
     EXPECT_EQ(kv.kv->slabsAllocated(), slabs);
+}
+
+TEST(KvEdge, OkPutsReadBack)
+{
+    // The board of FailedPutReturnsItsBlock: a put whose block or slot
+    // write lands on a never-backed slab page must fail, not report Ok
+    // for a key that then reads back nothing.
+    KvDev kv(1, 8 * MiB);
+    std::vector<int> stored;
+    for (int k = 0; k < 32; k++) {
+        if (kv.put("key" + std::to_string(k), patterned(1 * MiB, k)))
+            stored.push_back(k);
+    }
+    ASSERT_FALSE(stored.empty());
+    ASSERT_LT(stored.size(), 32u) << "no put failed";
+    for (int k : stored) // (not EXPECT_EQ: it would print 1 MiB values)
+        EXPECT_TRUE(kv.get("key" + std::to_string(k)) ==
+                    patterned(1 * MiB, k))
+            << "key" << k;
 }
 
 TEST(KvEdge, RestartRedeploysAnEmptyStore)

@@ -374,16 +374,38 @@ TEST(SubmissionBatchApi, VectoredReadWrite)
 
     const std::string hello = "vectored ";
     const std::string world = "io";
-    ASSERT_EQ(client.rwritev({{addr, hello.data(), hello.size()},
-                              {addr + hello.size(), world.data(),
-                               world.size()}}),
-              Status::kOk);
+    SubmissionBatch wb(client);
+    wb.write(addr, hello.data(), hello.size());
+    wb.write(addr + hello.size(), world.data(), world.size());
+    ASSERT_TRUE(wb.submitAndWait().ok());
     std::string a(hello.size(), '\0');
     std::string b(world.size(), '\0');
-    ASSERT_EQ(client.rreadv({{addr, a.data(), a.size()},
-                             {addr + hello.size(), b.data(), b.size()}}),
-              Status::kOk);
+    SubmissionBatch rb(client);
+    rb.read(addr, a.data(), a.size());
+    rb.read(addr + hello.size(), b.data(), b.size());
+    ASSERT_TRUE(rb.submitAndWait().ok());
     EXPECT_EQ(a + b, "vectored io");
+}
+
+TEST(SubmissionBatchApi, StagingDoesNoIo)
+{
+    Cluster cluster(ModelConfig::prototype(), 1, 1);
+    ClioClient &client = cluster.createClient(0);
+    const VirtAddr addr = client.ralloc(4 * MiB).value_or(0);
+    ASSERT_NE(addr, 0u);
+
+    const std::uint64_t sent = cluster.network().stats().sent;
+    std::uint64_t src = 0x5EED, out = 0;
+    SubmissionBatch batch(client);
+    batch.write(addr, &src, 8);
+    batch.read(addr, &out, 8);
+    EXPECT_EQ(cluster.network().stats().sent, sent);
+    EXPECT_EQ(client.outstanding(), 0u);
+
+    // The write's payload was copied when it was staged.
+    src = 0xBAD;
+    ASSERT_TRUE(batch.submitAndWait().ok());
+    EXPECT_EQ(out, 0x5EEDu);
 }
 
 // ---------------------------------------------------------------------
