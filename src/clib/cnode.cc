@@ -284,7 +284,7 @@ CNode::retry(std::uint32_t slot, bool congestion_signal)
     // NACK/corruption retries (congestion_signal == false) resend
     // immediately — the MN is alive, only the packet was bad.
     Tick backoff = 0;
-    if (congestion_signal && cfg_.clib.retry_backoff > 0) {
+    if (congestion_signal) {
         const std::uint32_t k =
             std::min<std::uint32_t>(out.retries - 1, 16);
         backoff = std::min<Tick>(cfg_.clib.retry_backoff << k,

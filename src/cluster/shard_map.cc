@@ -97,58 +97,34 @@ ShardMap::rackOf(std::uint32_t mn_idx) const
 }
 
 std::uint32_t
-ShardMap::ownerOf(ProcId pid, std::uint64_t region_index) const
+ShardMap::successor(const std::vector<VNode> &ring, std::uint64_t key)
 {
-    clio_assert(!ring_.empty(), "shard map is empty");
-    const std::uint64_t key = keyHash(pid, region_index);
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), key,
+    auto it = std::lower_bound(ring.begin(), ring.end(), key,
                                [](const VNode &v, std::uint64_t k) {
                                    return v.point < k;
                                });
-    if (it == ring_.end())
-        it = ring_.begin(); // wrap around
+    if (it == ring.end())
+        it = ring.begin(); // wrap around
     return it->mn;
 }
 
 std::uint32_t
-ShardMap::ownerNear(ProcId pid, std::uint64_t region_index,
-                    RackId preferred_rack, std::uint32_t probe) const
+ShardMap::ownerOf(ProcId pid, std::uint64_t region_index) const
 {
     clio_assert(!ring_.empty(), "shard map is empty");
-    const std::uint64_t key = keyHash(pid, region_index);
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), key,
-                               [](const VNode &v, std::uint64_t k) {
-                                   return v.point < k;
-                               });
-    std::size_t pos = static_cast<std::size_t>(it - ring_.begin()) %
-                      ring_.size();
-    std::uint32_t first = ring_[pos].mn;
-    std::vector<std::uint32_t> seen;
-    seen.reserve(probe);
-    for (std::size_t step = 0;
-         step < ring_.size() && seen.size() < probe; step++) {
-        const std::uint32_t mn = ring_[(pos + step) % ring_.size()].mn;
-        if (std::find(seen.begin(), seen.end(), mn) != seen.end())
-            continue;
-        if (rackOf(mn) == preferred_rack)
-            return mn;
-        seen.push_back(mn);
-    }
-    // No preferred-rack MN within `probe` hops: take the key's
-    // successor on the rack's own sub-ring, so placement stays
-    // rack-local whenever the rack hosts any MN at all.
-    auto sub = rack_rings_.find(preferred_rack);
-    if (sub != rack_rings_.end()) {
-        const std::vector<VNode> &rsub = sub->second;
-        auto rit = std::lower_bound(rsub.begin(), rsub.end(), key,
-                                    [](const VNode &v, std::uint64_t k) {
-                                        return v.point < k;
-                                    });
-        if (rit == rsub.end())
-            rit = rsub.begin();
-        return rit->mn;
-    }
-    return first;
+    return successor(ring_, keyHash(pid, region_index));
+}
+
+std::uint32_t
+ShardMap::ownerNear(ProcId pid, std::uint64_t region_index,
+                    RackId preferred_rack) const
+{
+    // The key's successor on the rack's own sub-ring is the first
+    // preferred-rack point clockwise from the key on the whole ring.
+    const auto sub = rack_rings_.find(preferred_rack);
+    if (sub == rack_rings_.end())
+        return ownerOf(pid, region_index);
+    return successor(sub->second, keyHash(pid, region_index));
 }
 
 } // namespace clio

@@ -13,13 +13,12 @@
  *    points (~1/M of the keyspace), so a grown cluster keeps almost
  *    every existing placement — pinned by the stability unit tests.
  *
- * Rack awareness: ownerNear() walks the first few distinct MNs
- * clockwise from the key and prefers one in the caller's rack; when
- * none of them is, it falls back to the caller rack's own sub-ring
- * (the same ring restricted to that rack's MNs), so a process gets
- * rack-local memory whenever its rack hosts any MN at all, while keys
- * still spread uniformly and deterministically (no RNG, no global
- * state). Only a rack with no MNs left spills to remote ones.
+ * Rack awareness: ownerNear() looks the key up on the caller rack's
+ * own sub-ring (the same ring restricted to that rack's MNs), so a
+ * process gets rack-local memory whenever its rack hosts any MN at
+ * all, while keys still spread uniformly and deterministically (no
+ * RNG, no global state). Only a rack with no MNs left spills to
+ * remote ones, via the whole ring.
  *
  * All hashing is an explicit splitmix64 — std::hash is implementation
  * defined and would break cross-platform determinism of placements.
@@ -60,16 +59,14 @@ class ShardMap
     std::uint32_t ownerOf(ProcId pid, std::uint64_t region_index) const;
 
     /**
-     * Rack-aware owner: among the first `probe` distinct MNs clockwise
-     * from the key, pick the first in `preferred_rack`; when none is,
-     * fall back to the key's successor on `preferred_rack`'s sub-ring
-     * (rack-local whenever the rack has MNs), and only to the plain
-     * ring successor for a rack with no MNs. Deterministic for a given
+     * Rack-aware owner: the key's successor on `preferred_rack`'s
+     * sub-ring, i.e. the first MN of that rack clockwise from the key
+     * (rack-local whenever the rack has MNs), and the plain ring
+     * successor for a rack with no MNs. Deterministic for a given
      * ring + key + rack.
      */
     std::uint32_t ownerNear(ProcId pid, std::uint64_t region_index,
-                            RackId preferred_rack,
-                            std::uint32_t probe = 4) const;
+                            RackId preferred_rack) const;
 
     /** Rack an MN registered with. */
     RackId rackOf(std::uint32_t mn_idx) const;
@@ -83,12 +80,17 @@ class ShardMap
 
     static std::uint64_t keyHash(ProcId pid, std::uint64_t region_index);
 
+    /** Owner of `key` on a non-empty ring sorted by point: the MN of
+     * its first point clockwise. */
+    static std::uint32_t successor(const std::vector<VNode> &ring,
+                                   std::uint64_t key);
+
     /** Rebuild a rack's sub-ring from `ring_` (add/remove paths). */
     void rebuildRackRing(RackId rack);
 
     /** Ring points sorted by `point`. */
     std::vector<VNode> ring_;
-    /** Per-rack restriction of `ring_` (rack-local fallback lookups). */
+    /** Per-rack restriction of `ring_` (rack-local lookups). */
     std::map<RackId, std::vector<VNode>> rack_rings_;
     /** (mn_idx, rack) membership list. */
     std::vector<std::pair<std::uint32_t, RackId>> members_;

@@ -1,16 +1,17 @@
 /**
  * @file
- * Move-only type-erased `void()` callable sized for event closures.
+ * Type-erased `void()` closure cell for the event queue's arena.
  *
  * std::function heap-allocates any capture larger than two pointers,
  * which on the simulator's hot path means one malloc/free per scheduled
  * event. EventCallback instead carries a 104-byte inline buffer — large
  * enough for every closure the simulator schedules (the biggest, the
  * network delivery closure with an in-flight Packet, is 88 bytes) — and
- * erases behavior behind a static three-entry vtable. Closures that do
- * exceed the buffer, or that cannot be relocated with a nothrow move,
- * fall back to a heap box, so correctness never depends on the size
- * budget.
+ * erases behavior behind a static two-entry vtable. A closure is built
+ * in place by emplace() and never moves: the queue orders plain records
+ * that name the cell, so the cell has no copy or move operations.
+ * Closures that exceed the buffer fall back to a heap box, so
+ * correctness never depends on the size budget.
  */
 
 #ifndef CLIO_SIM_CALLBACK_HH
@@ -23,61 +24,19 @@
 
 namespace clio {
 
-/** Type-erased single-owner event closure (see file comment). */
+/** Type-erased closure cell, built in place (see file comment). */
 class EventCallback
 {
   public:
-    /** Inline capture budget: Tick + seq + this = 128-byte events. */
+    /** Inline capture budget: with the vtable pointer and the arena
+     * cell's due time and generation, a 128-byte cell. */
     static constexpr std::size_t kInlineBytes = 104;
 
     EventCallback() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback>>>
-    EventCallback(F &&fn) // NOLINT: implicit by design, like std::function
-    {
-        using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Fn &>,
-                      "EventCallback requires a void() callable");
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            ops_ = inlineOps<Fn>();
-        } else {
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = boxedOps<Fn>();
-        }
-    }
-
-    EventCallback(EventCallback &&other) noexcept : ops_(other.ops_)
-    {
-        if (ops_ != nullptr) {
-            ops_->relocate(buf_, other.buf_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            ops_ = other.ops_;
-            if (ops_ != nullptr) {
-                ops_->relocate(buf_, other.buf_);
-                other.ops_ = nullptr;
-            }
-        }
-        return *this;
-    }
-
     EventCallback(const EventCallback &) = delete;
     EventCallback &operator=(const EventCallback &) = delete;
 
-    ~EventCallback() { destroy(); }
-
-    explicit operator bool() const { return ops_ != nullptr; }
+    ~EventCallback() { reset(); }
 
     void
     operator()()
@@ -86,15 +45,18 @@ class EventCallback
     }
 
     /** Destroy any held closure and construct `fn` in place, so a
-     * recycled cell (e.g. an event-queue arena slot) takes a new
-     * closure with zero intermediate moves. */
+     * recycled cell (an event-queue arena slot) takes a new closure
+     * with zero intermediate moves. */
     template <typename F>
     void
     emplace(F &&fn)
     {
         using Fn = std::decay_t<F>;
-        destroy();
-        if constexpr (fitsInline<Fn>()) {
+        static_assert(std::is_invocable_r_v<void, Fn &>,
+                      "EventCallback requires a void() callable");
+        reset();
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
             ops_ = inlineOps<Fn>();
         } else {
@@ -108,25 +70,16 @@ class EventCallback
     void
     reset()
     {
-        destroy();
-    }
-
-    /** True if `Fn` is stored in the inline buffer (exposed for tests). */
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= kInlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
+        if (ops_ != nullptr) {
+            ops_->destroy(buf_);
+            ops_ = nullptr;
+        }
     }
 
   private:
     struct Ops
     {
         void (*invoke)(void *self);
-        /** Move-construct into `dst` from `src`, then destroy `src`. */
-        void (*relocate)(void *dst, void *src);
         void (*destroy)(void *self);
     };
 
@@ -136,11 +89,6 @@ class EventCallback
     {
         static constexpr Ops ops{
             [](void *self) { (*static_cast<Fn *>(self))(); },
-            [](void *dst, void *src) {
-                Fn *from = static_cast<Fn *>(src);
-                ::new (dst) Fn(std::move(*from));
-                from->~Fn();
-            },
             [](void *self) { static_cast<Fn *>(self)->~Fn(); },
         };
         return &ops;
@@ -152,21 +100,9 @@ class EventCallback
     {
         static constexpr Ops ops{
             [](void *self) { (**static_cast<Fn **>(self))(); },
-            [](void *dst, void *src) {
-                ::new (dst) Fn *(*static_cast<Fn **>(src));
-            },
             [](void *self) { delete *static_cast<Fn **>(self); },
         };
         return &ops;
-    }
-
-    void
-    destroy()
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
     }
 
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

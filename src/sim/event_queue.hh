@@ -7,40 +7,38 @@
  * executes them in (time, insertion order) order, so same-tick events are
  * deterministic FIFO.
  *
- * schedule() returns an EventId, and cancel(id) takes a pending event
- * out of the queue: its closure is destroyed, its record removed, and
- * it never runs nor counts in executed(). Cancellation exists for
- * retry timeouts: nearly every one is dead as soon as its response
- * lands. Left to fire as no-ops, the 200 ms slow-path ones kept about
- * 229k closures pending on the benchmark suite's kv_ycsb_b workload;
- * cancelling them cut its peak RSS from 170 to 122 MB. An id names one
- * event once: cancelling an event that already ran, is running (a
- * self-cancel), or was cancelled is a no-op, even after its arena
- * cell took a new event.
+ * schedule() builds the closure in place in an arena cell (an
+ * EventCallback that never moves) and queues a trivially copyable
+ * 24-byte record (when, seq, cell). It returns an EventId, and
+ * cancel(id) takes a pending event out of the queue: its closure is
+ * destroyed, its record removed, and it never runs nor counts in
+ * executed(). Cancellation exists for retry timeouts: nearly every one
+ * is dead as soon as its response lands. Left to fire as no-ops, the
+ * 200 ms slow-path ones kept about 229k closures pending on the
+ * benchmark suite's kv_ycsb_b workload; cancelling them cut its peak
+ * RSS from 170 to 122 MB. An id names one event once: cancelling an
+ * event that already ran, is running (a self-cancel), or was cancelled
+ * is a no-op, even after its arena cell took a new event.
  *
- * Two implementations live behind one facade, selectable per queue:
+ * Two engines order the same records, selectable per queue:
  *
- *  - kTimingWheel (default): a two-tier timing wheel. The fine wheel
- *    has 4096 slots of 2^15 ticks (~134 us span), sized so data-path
- *    delays — NIC/switch hops, RTTs, even the data-path retry timeout
- *    — land in their final slot with a SINGLE placement, never
- *    cascading. The coarse wheel (4096 slots of 2^27 ticks, ~0.55 s
- *    span) catches slow-path timeouts and other far events with one
- *    extra hop; anything beyond it sits in a small overflow list that
- *    is swept only when the cursor reaches it (a calendar fallback for
- *    arbitrarily far futures). Each wheel tracks slot occupancy with a
- *    64-word bitmap plus a one-word summary, so finding the next
+ *  - kTimingWheel (default): a hashed timing wheel of 4096 slots of
+ *    2^15 ticks (~134 us span), sized so data-path delays — NIC/switch
+ *    hops, RTTs, even the data-path retry timeout — land in their
+ *    final slot with a single placement. Every event beyond the span
+ *    (the 200 ms slow-path timeouts, mostly cancelled long before they
+ *    are due) waits in a far list, which moves into the wheel when the
+ *    cursor reaches the slot of its earliest event. Slot occupancy is
+ *    a 64-word bitmap plus a one-word summary, so finding the next
  *    occupied slot is two bit scans. Slot vectors recycle their
- *    capacity and closures are arena'd inline in EventCallback
- *    buffers, so steady-state scheduling performs no allocation.
- *    O(1) schedule, amortized O(1) pop. cancel() checks the arena
- *    cell's generation, then finds the record where its due time put
- *    it — the staged band, its fine or coarse slot, or the overflow
- *    list — with a scan of that one slot.
+ *    capacity, so steady-state scheduling performs no allocation.
+ *    O(1) schedule, amortized O(1) pop. cancel() finds the record
+ *    where its due time put it — the staged band, its wheel slot, or
+ *    the far list — with a scan of that one place.
  *
- *  - kBinaryHeap: the reference implementation — a binary heap of
- *    std::function events, kept as the oracle for differential tests.
- *    cancel() removes the event by a linear search and a re-heapify.
+ *  - kBinaryHeap: the reference implementation — a binary heap of the
+ *    same records, kept as the oracle for differential tests.
+ *    cancel() removes the record by a linear search and a re-heapify.
  *
  * Both order events identically, byte-for-byte reproducibly.
  */
@@ -51,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,8 +76,6 @@ constexpr EventId kNoEvent = 0;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kDefault);
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -99,17 +96,14 @@ class EventQueue
                     "scheduling into the past: when=%llu now=%llu",
                     static_cast<unsigned long long>(when),
                     static_cast<unsigned long long>(now_));
-        if (impl_ == EventQueueImpl::kTimingWheel) {
-            // Construct the closure directly in its arena cell: it is
-            // built exactly once and never moves until destruction.
-            const std::uint32_t idx = arenaAlloc();
-            ArenaCell &cell = arenaCell(idx);
-            cell.cb.emplace(std::forward<F>(fn));
-            cell.when = when;
-            wheelInsert(when, idx);
-            return (EventId{cell.gen} << 32) | (idx + 1);
-        }
-        return scheduleHeap(when, Callback(std::forward<F>(fn)));
+        // Construct the closure directly in its arena cell: it is
+        // built exactly once and never moves until destruction.
+        const std::uint32_t idx = arenaAlloc();
+        ArenaCell &cell = arenaCell(idx);
+        cell.cb.emplace(std::forward<F>(fn));
+        cell.when = when;
+        push(Record{when, next_seq_++, idx});
+        return (EventId{cell.gen} << 32) | (idx + 1);
     }
 
     /** Schedule a callback `delay` ticks from now. */
@@ -158,73 +152,18 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    // ------------------------------------------------------------
-    // Timing wheel: two tiers plus an overflow list. A slot of the
-    // fine wheel covers ticks [sn << 15, (sn+1) << 15) for absolute
-    // slot number sn; slots are indexed sn mod 4096, and because no
-    // pending event is ever behind horizon_ (the wheel cursor), at
-    // most one epoch of ambiguity exists and a successor scan from
-    // the cursor's index resolves it. The coarse wheel is identical
-    // with 2^27-tick slots. Staging a fine slot sorts its events by
-    // (when, seq) — a slot spans many ticks — which restores the
-    // exact global FIFO order.
-    // ------------------------------------------------------------
-    static constexpr std::uint32_t kWheelSlotsLog = 12;
-    static constexpr std::uint32_t kWheelSlots = 1u << kWheelSlotsLog;
-    static constexpr std::uint32_t kSlot0Bits = 15; ///< fine slot width
-    static constexpr std::uint32_t kSlot1Bits =
-        kSlot0Bits + kWheelSlotsLog; ///< coarse slot width (2^27)
-
     /**
-     * A pending wheel event. The closure itself lives in the arena
-     * (cb_idx names its cell), so the record is a trivially copyable
-     * 24 bytes and moving it between slots is a plain copy — the
-     * closure is constructed once at schedule and never moves again.
-     * A cell holds at most one pending event, so cb_idx also names
-     * the record that cancel() removes.
+     * A pending event. The closure itself lives in the arena (`cell`
+     * names it), so the record is a trivially copyable 24 bytes that
+     * both engines order by (when, seq) and copy freely. A cell holds
+     * at most one pending event, so `cell` also names the record that
+     * cancel() removes.
      */
-    struct WheelEvent
+    struct Record
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t cb_idx;
-    };
-
-    /** One wheel tier: slot vectors plus a two-level occupancy bitmap
-     * (word[i] bit b = slot 64*i+b non-empty; summary bit i =
-     * word[i] != 0). */
-    struct Wheel
-    {
-        std::vector<std::vector<WheelEvent>> slots;
-        std::uint64_t word[kWheelSlots / 64] = {};
-        std::uint64_t summary = 0;
-
-        void
-        set(std::uint32_t idx)
-        {
-            word[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-            summary |= std::uint64_t{1} << (idx >> 6);
-        }
-
-        void
-        clear(std::uint32_t idx)
-        {
-            word[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-            if (word[idx >> 6] == 0)
-                summary &= ~(std::uint64_t{1} << (idx >> 6));
-        }
-
-        /** First occupied slot index >= `from`, else -1. */
-        int successor(std::uint32_t from) const;
-        /** First occupied slot index, else -1. */
-        int first() const;
-    };
-
-    struct HeapEvent
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
+        std::uint32_t cell;
     };
 
     /**
@@ -243,16 +182,56 @@ class EventQueue
         std::uint32_t gen = 0;
     };
 
-    EventId scheduleHeap(Tick when, Callback cb);
-    bool cancelHeap(EventId id);
-    void wheelInsert(Tick when, std::uint32_t cb_idx);
-    /** Remove cell `cb_idx`'s pending record, due at `when`. */
-    void wheelRemove(Tick when, std::uint32_t cb_idx);
-    bool runOneWheel();
-    bool runOneHeap();
-    void placeEvent(const WheelEvent &ev);
-    void readyInsert(const WheelEvent &ev);
-    void sweepOverflow();
+    static constexpr std::uint32_t kArenaChunkLog = 10;
+    static constexpr std::uint32_t kArenaChunk = 1u << kArenaChunkLog;
+
+    // ------------------------------------------------------------
+    // Timing wheel: a slot covers ticks [sn << 15, (sn+1) << 15) for
+    // absolute slot number sn and is indexed sn mod 4096. No pending
+    // event is ever behind horizon_ (the wheel cursor), so at most one
+    // epoch of ambiguity exists and a successor scan from the cursor's
+    // index resolves it. Staging a slot sorts its records by (when,
+    // seq) — a slot spans many ticks — which restores the exact global
+    // FIFO order.
+    // ------------------------------------------------------------
+    static constexpr std::uint32_t kWheelSlotsLog = 12;
+    static constexpr std::uint32_t kWheelSlots = 1u << kWheelSlotsLog;
+    static constexpr std::uint32_t kSlotBits = 15; ///< slot width log2
+
+    /** Queue a record on the active engine. */
+    void push(const Record &ev);
+    /** Pop the earliest record if it is due by `bound`. */
+    std::optional<Record> pop(Tick bound);
+    /** Execute one popped record. By value: the callback may schedule
+     * into the staged band and reallocate the vector it came from. */
+    void run(Record ev);
+    /** Remove cell `cell`'s pending record, due at `when`. */
+    void wheelRemove(Tick when, std::uint32_t cell);
+    void heapRemove(std::uint32_t cell);
+    void placeEvent(const Record &ev);
+    void readyInsert(const Record &ev);
+    void pullFar();
+    /** Absolute number of the first occupied slot at or after the
+     * cursor's, accounting for the one possible epoch wrap. */
+    std::uint64_t nextSlot() const;
+
+    /** Mark slot `idx` non-empty in the occupancy bitmap. */
+    void
+    occupy(std::uint32_t idx)
+    {
+        word_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        summary_ |= std::uint64_t{1} << (idx >> 6);
+    }
+
+    /** Mark slot `idx` empty in the occupancy bitmap. */
+    void
+    vacate(std::uint32_t idx)
+    {
+        word_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+        if (word_[idx >> 6] == 0)
+            summary_ &= ~(std::uint64_t{1} << (idx >> 6));
+    }
+
     void arenaGrow();
 
     /** Claim a free arena cell, growing by a chunk if none is free. */
@@ -273,11 +252,11 @@ class EventQueue
     }
 
     /**
-     * Ensure ready_ holds the earliest pending slot's events, staging
-     * (and cascading/sweeping) only slots whose base time is <=
-     * `bound` so horizon_ never overtakes a bound the caller must
-     * stay under.
-     * @retval true ready_ has an event (its when may exceed `bound`;
+     * Once ready_ is spent, stage the earliest pending slot's records
+     * into it, staging (and pulling in the far list) only slots whose
+     * base time is <= `bound` so horizon_ never overtakes a bound the
+     * caller must stay under.
+     * @retval true ready_ has a record (its when may exceed `bound`;
      *         the caller checks), false if nothing due by `bound`.
      */
     bool stageNext(Tick bound);
@@ -287,29 +266,29 @@ class EventQueue
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t count_ = 0;
-
-    // Wheel state (empty vectors when the heap engine is active).
-    static constexpr std::uint32_t kArenaChunkLog = 10;
-    static constexpr std::uint32_t kArenaChunk = 1u << kArenaChunkLog;
-
-    /** Wheel cursor: never ahead of any pending event, never behind
-     * a staged slot's base; <= now_ at API boundaries. */
-    Tick horizon_ = 0;
-    Wheel fine_;
-    Wheel coarse_;
-    /** Events beyond the coarse span, swept when the cursor nears. */
-    std::vector<WheelEvent> overflow_;
-    Tick overflow_min_ = ~Tick{0};
-    /** Absolute fine-slot number of the band ready_ was staged from:
-     * schedules landing in this band insert into ready_ directly. */
-    std::uint64_t staged_sn_ = 0;
-    std::vector<WheelEvent> ready_; ///< staged events, (when, seq) order
-    std::size_t ready_pos_ = 0;
     std::vector<std::unique_ptr<ArenaCell[]>> arena_;
     std::vector<std::uint32_t> free_cells_;
 
+    // Wheel state (unused by the heap engine).
+    /** Wheel cursor: never ahead of any pending event, never behind
+     * a staged slot's base; <= now_ at API boundaries. */
+    Tick horizon_ = 0;
+    std::vector<std::vector<Record>> slots_;
+    /** Occupancy: word_[i] bit b = slot 64*i+b non-empty; summary_
+     * bit i = word_[i] != 0. */
+    std::uint64_t word_[kWheelSlots / 64] = {};
+    std::uint64_t summary_ = 0;
+    /** Records beyond the wheel's span, pulled in slot-aligned. */
+    std::vector<Record> far_;
+    Tick far_min_ = ~Tick{0};
+    /** Absolute slot number of the band ready_ was staged from:
+     * schedules landing in this band insert into ready_ directly. */
+    std::uint64_t staged_sn_ = 0;
+    std::vector<Record> ready_; ///< staged records, (when, seq) order
+    std::size_t ready_pos_ = 0;
+
     // Heap state: a plain binary heap via push_heap/pop_heap.
-    std::vector<HeapEvent> heap_;
+    std::vector<Record> heap_;
 };
 
 } // namespace clio

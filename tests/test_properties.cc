@@ -445,5 +445,50 @@ TEST_P(ShardMapSweep, RackPreferenceHoldsWheneverRackHasMns)
 INSTANTIATE_TEST_SUITE_P(RingSizes, ShardMapSweep,
                          ::testing::Values(1u, 2u, 3u, 6u, 12u, 24u));
 
+TEST(ShardMapRings, OwnerNearIsOwnerOfOnTheRacksOwnRing)
+{
+    // ownerNear(key, rack) is the key's owner on a ring that holds only
+    // that rack's MNs (same points, since they depend only on the MN),
+    // and the whole ring's owner for a rack with no MN. Random rings:
+    // 1-6 racks, 1-24 MNs, 1-64 vnodes, random removals, so some racks
+    // end up empty.
+    Rng rng(27);
+    for (int round = 0; round < 200; round++) {
+        const auto racks = static_cast<RackId>(1 + rng.uniformInt(6));
+        const auto mns = static_cast<std::uint32_t>(1 + rng.uniformInt(24));
+        const auto vnodes =
+            static_cast<std::uint32_t>(1 + rng.uniformInt(64));
+        ShardMap map(vnodes);
+        std::vector<std::pair<std::uint32_t, RackId>> members;
+        for (std::uint32_t mn = 0; mn < mns; mn++) {
+            const auto rack = static_cast<RackId>(rng.uniformInt(racks));
+            map.addMn(mn, rack);
+            members.emplace_back(mn, rack);
+        }
+        for (std::size_t i = members.size(); i > 1; i--) {
+            if (rng.chance(0.3)) {
+                map.removeMn(members[i - 1].first);
+                members.erase(members.begin() +
+                              static_cast<std::ptrdiff_t>(i - 1));
+            }
+        }
+        for (RackId rack = 0; rack < racks; rack++) {
+            ShardMap local(vnodes);
+            for (const auto &[mn, r] : members) {
+                if (r == rack)
+                    local.addMn(mn, r);
+            }
+            const ShardMap &expect = local.empty() ? map : local;
+            for (int k = 0; k < 100; k++) {
+                const auto pid = static_cast<ProcId>(rng.uniformInt(4096));
+                const std::uint64_t region = rng.uniformInt(64);
+                ASSERT_EQ(map.ownerNear(pid, region, rack),
+                          expect.ownerOf(pid, region))
+                    << "round " << round << " rack " << rack;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace clio

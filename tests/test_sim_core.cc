@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -151,8 +153,8 @@ TEST(EventQueue, TieBreakIsInsertionOrderAcrossInterleavedTicks)
 
 TEST(EventQueue, MixedHorizonOrdering)
 {
-    // Events spread across wildly different magnitudes (all wheel
-    // levels for a 64-slot hierarchy) must still pop in time order.
+    // Events spread across wildly different magnitudes (from the
+    // staged band to the far list) must still pop in time order.
     EventQueue eq;
     std::vector<Tick> fired;
     std::vector<Tick> ticks;
@@ -369,10 +371,10 @@ TEST(EventQueue, CancelCornerCases)
         eq.runAll();
         EXPECT_EQ(fired, (std::vector<int>{2, 4}));
 
-        // One cancelled and one kept event in each place a record can
-        // sit: the staged band (same 2^15-tick band as the clock), the
-        // fine wheel, the coarse wheel (>= 134 us out) and the overflow
-        // list (>= 0.55 s out).
+        // One cancelled and one kept event at each offset: the staged
+        // band (same 2^15-tick band as the clock), a wheel slot (20 us
+        // out), and the far list (beyond the wheel's ~134 us span, at
+        // 1 ms and 1 s out). Every place a record can sit is covered.
         fired.clear();
         const Tick t0 = eq.now();
         const Tick offsets[] = {10, 20 * kMicrosecond, kMillisecond,
@@ -401,6 +403,44 @@ TEST(EventQueue, CancelCornerCases)
         at(t1 + 3, 22);
         eq.runAll();
         EXPECT_EQ(fired, (std::vector<int>{20, 22}));
+    }
+}
+
+TEST(EventQueue, FarEventRunsBeforeLaterEventsOfItsSlot)
+{
+    // A waits in the far list (beyond the wheel's span) while a chain
+    // of events every 20 us walks the clock to it. The chain event at
+    // exactly 1 s schedules B in A's 2^15-tick slot, later than A:
+    // the far list must enter the wheel by slot, so A still runs
+    // first and the clock never steps backwards.
+    for (const EventQueueImpl impl : kEngines) {
+        SCOPED_TRACE(engineName(impl));
+        EventQueue eq(impl);
+        const Tick a_at = kSecond + 100;
+        const Tick b_at = kSecond + 200;
+        ASSERT_EQ(a_at >> 15, b_at >> 15);
+        std::string order;
+        Tick last = 0;
+        bool monotonic = true;
+        const auto note = [&](char tag) {
+            monotonic = monotonic && eq.now() >= last;
+            last = eq.now();
+            order.push_back(tag);
+        };
+        eq.schedule(a_at, [&] { note('A'); });
+        std::function<void()> chain = [&] {
+            note('c');
+            if (eq.now() == kSecond)
+                eq.schedule(b_at, [&] { note('B'); });
+            if (eq.now() + 20 * kMicrosecond <= kSecond + 200 * kMicrosecond)
+                eq.scheduleAfter(20 * kMicrosecond, [&] { chain(); });
+        };
+        eq.schedule(20 * kMicrosecond, [&] { chain(); });
+        eq.runAll();
+        EXPECT_TRUE(monotonic);
+        ASSERT_NE(order.find('B'), std::string::npos);
+        EXPECT_LT(order.find('A'), order.find('B'));
+        EXPECT_EQ(eq.now(), kSecond + 200 * kMicrosecond);
     }
 }
 
